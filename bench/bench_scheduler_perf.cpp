@@ -21,12 +21,9 @@
 //                     hooks are compiled in the run also records
 //                     greedy/lazy_steady_alloc_calls: the exact heap
 //                     allocation count of one warmed schedule() call
-//   --threads <N>     scheduler thread count (util/parallel pool). In json
-//                     mode N > 1 runs the workload serially AND at N
-//                     threads, records *_par_speedup metrics, and names the
-//                     record bench_scheduler_perf_t<N> so the threads axis
-//                     gets its own baseline rows; N <= 1 keeps the
-//                     original bench_scheduler_perf record untouched.
+//   --threads <N>     util/parallel pool size (LP rounding and the
+//                     evaluator fan out on it; the greedy-family scans are
+//                     serial)
 //   --trace <file>    Chrome trace of the run (obs/session.h)
 //   --metrics <file>  metrics registry dump (.json selects JSON, else CSV)
 //   --profile <file>  sampling CPU + allocation profile of the run (JSON
@@ -152,8 +149,8 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Best-of-reps wall clock for one scheduler at the currently configured
-// thread count: the least-interrupted measurement of identical work.
+// Best-of-reps wall clock for one scheduler: the least-interrupted
+// measurement of identical work.
 template <typename Run>
 double best_of(std::size_t reps, Run&& run) {
   double best = -1.0;
@@ -169,12 +166,9 @@ double best_of(std::size_t reps, Run&& run) {
 // Perf-harness mode: a fixed greedy/lazy-greedy workload with deterministic
 // utilities and oracle counts; only the wall-clock metrics vary between
 // runs, which is exactly what the tolerance bands in
-// scripts/check_perf_regress.sh account for. With threads > 1 the workload
-// is timed both serially and on the pool; the parallel run must produce the
-// identical schedule (checked here, not just in the unit tests) and the
-// serial/parallel ratio lands in *_par_speedup.
+// scripts/check_perf_regress.sh account for.
 int run_json_mode(const std::string& json_path, std::size_t n,
-                  std::size_t reps, std::uint64_t seed, std::size_t threads,
+                  std::size_t reps, std::uint64_t seed,
                   const cool::obs::Provenance& provenance) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto problem = make_problem(n, n / 10 + 1, true, seed);
@@ -189,7 +183,6 @@ int run_json_mode(const std::string& json_path, std::size_t n,
   ctx.scratch_states = &scratch;
   ctx.arena = &arena;
 
-  cool::util::set_thread_count(1);
   const auto greedy = cool::core::GreedyScheduler().schedule(problem, ctx);
   const auto lazy = cool::core::LazyGreedyScheduler().schedule(problem, ctx);
   const double greedy_ms = best_of(reps, [&] {
@@ -248,34 +241,6 @@ int run_json_mode(const std::string& json_path, std::size_t n,
 
   std::string bench_name = "bench_scheduler_perf";
   if (n != 200) bench_name += "_n" + std::to_string(n);
-  if (threads > 1) {
-    cool::util::set_thread_count(threads);
-    const auto greedy_par = cool::core::GreedyScheduler().schedule(problem, ctx);
-    const auto lazy_par =
-        cool::core::LazyGreedyScheduler().schedule(problem, ctx);
-    if (greedy_par.schedule != greedy.schedule ||
-        lazy_par.schedule != lazy.schedule) {
-      std::fprintf(stderr,
-                   "parallel schedule diverged from serial at %zu threads\n",
-                   threads);
-      return 1;
-    }
-    const double greedy_par_ms = best_of(reps, [&] {
-      return cool::core::GreedyScheduler().schedule(problem, ctx);
-    });
-    const double lazy_par_ms = best_of(reps, [&] {
-      return cool::core::LazyGreedyScheduler().schedule(problem, ctx);
-    });
-    cool::util::set_thread_count(1);
-    metrics.push_back({"greedy_par_wall_ms", greedy_par_ms});
-    metrics.push_back({"lazy_par_wall_ms", lazy_par_ms});
-    metrics.push_back(
-        {"greedy_par_speedup",
-         greedy_par_ms > 0.0 ? greedy_ms / greedy_par_ms : 0.0});
-    metrics.push_back(
-        {"lazy_par_speedup", lazy_par_ms > 0.0 ? lazy_ms / lazy_par_ms : 0.0});
-    bench_name += "_t" + std::to_string(threads);
-  }
 
   std::ofstream out(json_path);
   if (!out) {
@@ -290,7 +255,7 @@ int run_json_mode(const std::string& json_path, std::size_t n,
       {{"sensors", std::to_string(n)},
        {"reps", std::to_string(reps)},
        {"seed", std::to_string(seed)},
-       {"threads", std::to_string(threads == 0 ? 1 : threads)}},
+       {"threads", std::to_string(cool::util::thread_count())}},
       stamped, metrics);
   std::printf("wrote %s (greedy %.1f ms, lazy %.1f ms, utility %.4f)\n",
               json_path.c_str(), greedy_ms, lazy_ms, greedy_utility);
@@ -358,8 +323,7 @@ int main(int argc, char** argv) {
   cool::obs::ObsSession obs(trace_path, metrics_path, profile_path, profile_hz,
                             provenance);
   if (!json_path.empty())
-    return run_json_mode(json_path, perf_n, perf_reps, seed, threads,
-                         provenance);
+    return run_json_mode(json_path, perf_n, perf_reps, seed, provenance);
 
   int filtered_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&filtered_argc, passthrough.data());

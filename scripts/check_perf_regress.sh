@@ -109,7 +109,6 @@ if "${coolstat}" check "${results}" "${baseline}" \
   --metric '*_per_s=400' \
   --metric '*_us=-1' \
   --metric '*lazy_speedup=400' \
-  --metric '*par_speedup=400' \
   --metric '*steady_alloc_calls=0' \
   --metric '*control_energy_j=10' \
   --metric '*adaptive_gain_pct=10' \

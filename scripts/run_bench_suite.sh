@@ -31,7 +31,7 @@ done
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
-thread_artifacts=()
+large_n_artifacts=()
 
 echo "== bench_scheduler_perf (n=200, best of 3) =="
 "${bench_dir}/bench_scheduler_perf" --json "${workdir}/scheduler_perf.json" \
@@ -47,20 +47,7 @@ for big_n in ${COOL_BENCH_LARGE_N-800}; do
   "${bench_dir}/bench_scheduler_perf" \
     --json "${workdir}/scheduler_perf_n${big_n}.json" \
     --perf-n "${big_n}" --perf-reps 3 --seed 42
-  thread_artifacts+=("${workdir}/scheduler_perf_n${big_n}.json")
-done
-
-# Thread-scaling curve: the same workload at 2/4/8 scheduler threads. Each
-# run re-times the serial path, checks the parallel schedule is identical,
-# and records *_par_speedup; records are named bench_scheduler_perf_t<N>
-# so each thread count gets its own baseline rows. COOL_BENCH_THREADS
-# overrides the curve (e.g. "2 4" on small CI boxes; "" skips it).
-for t in ${COOL_BENCH_THREADS-2 4 8}; do
-  echo "== bench_scheduler_perf (n=200, threads=${t}) =="
-  "${bench_dir}/bench_scheduler_perf" \
-    --json "${workdir}/scheduler_perf_t${t}.json" \
-    --perf-n 200 --perf-reps 3 --seed 42 --threads "${t}"
-  thread_artifacts+=("${workdir}/scheduler_perf_t${t}.json")
+  large_n_artifacts+=("${workdir}/scheduler_perf_n${big_n}.json")
 done
 
 echo "== bench_failure_resilience (n=40, 10 days) =="
@@ -87,7 +74,7 @@ echo "== bench_service_soak (36 rounds, SIGKILL every 12) =="
 
 "${coolstat}" merge "${out}" \
   "${workdir}/scheduler_perf.json" \
-  ${thread_artifacts[@]+"${thread_artifacts[@]}"} \
+  ${large_n_artifacts[@]+"${large_n_artifacts[@]}"} \
   "${workdir}/failure_resilience.json" \
   "${workdir}/energy_robustness.json" \
   "${workdir}/delivered_coverage.json" \

@@ -7,9 +7,9 @@
 // 1/2-approximation of the optimal schedule for any horizon ℒ = αT.
 //
 // Complexity: n placement steps, each scanning at most n·T marginals, each
-// marginal O(degree) for the bundled utilities — O(n²·T·deg) total. See
-// LazyGreedyScheduler for the CELF-accelerated variant with identical
-// output guarantees.
+// marginal O(degree) for the bundled utilities — O(n²·T·deg) total. Ties
+// go to the lowest (sensor, slot) pair. LazyGreedyScheduler is the
+// CELF-accelerated variant and returns the identical schedule and steps.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +74,22 @@ namespace detail {
 std::vector<std::unique_ptr<sub::EvalState>>& prepare_slot_states(
     const Problem& problem, const PlannerContext& ctx, std::size_t slots,
     std::vector<std::unique_ptr<sub::EvalState>>& local);
+
+struct ScanBest {
+  double gain = -1.0;
+  std::size_t index = 0;  // position in `ids`, not a sensor id
+  std::size_t slot = 0;
+};
+
+// The (candidate, slot) argmax scan shared by the greedy-family schedulers:
+// the maximum of states[t]->marginal(ids[i]) over i < len and every slot t,
+// ties broken on the lowest (i, t) pair — the first maximum of the
+// i-outer/t-inner scan. `fused` comes from sub::resolve_fused(states);
+// `gains` is len doubles of scratch for the unfused fallback. Requires
+// len >= 1.
+ScanBest scan_argmax(const sub::FusedSlotEvaluator& fused,
+                     const std::vector<std::unique_ptr<sub::EvalState>>& states,
+                     const std::size_t* ids, std::size_t len, double* gains);
 }  // namespace detail
 
 class GreedyScheduler {

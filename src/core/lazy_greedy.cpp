@@ -9,7 +9,6 @@
 
 #include "obs/obs.h"
 #include "util/arena.h"
-#include "util/parallel.h"
 
 namespace cool::core {
 
@@ -24,9 +23,9 @@ struct QueueEntry {
   // Max-heap on gain with a total deterministic order: ties go to the
   // lowest (sensor, slot) pair, matching the plain greedy scan's
   // first-maximum tie-break. A total order makes the selected pair a pure
-  // function of the current gains — independent of refresh batching, of
-  // the thread count, and of the heap's internal array layout (every pop
-  // surfaces the unique maximum of the current entries).
+  // function of the current gains — independent of refresh batching and of
+  // the heap's internal array layout (every pop surfaces the unique maximum
+  // of the current entries).
   bool operator<(const QueueEntry& other) const noexcept {
     if (gain != other.gain) return gain < other.gain;
     if (sensor != other.sensor) return sensor > other.sensor;
@@ -127,12 +126,11 @@ GreedyResult LazyGreedyScheduler::schedule(const Problem& problem,
       result.steps.push_back(GreedyStep{fresh->sensor, fresh->slot, fresh->gain});
       continue;
     }
-    // Re-score the whole stale batch against the pool (the states are
-    // unchanged until the next placement), regrouped by slot so each slot's
-    // entries go through one contiguous marginal_batch. Gains can only have
-    // shrunk, batching computes exactly the per-entry marginals, and the
-    // refresh order cannot affect the heap's total order, so the outcome is
-    // identical at every thread count — only the wall clock changes.
+    // Re-score the whole stale batch (the states are unchanged until the
+    // next placement), regrouped by slot so each slot's entries go through
+    // one contiguous marginal_batch. Gains can only have shrunk, batching
+    // computes exactly the per-entry marginals, and the refresh order
+    // cannot affect the heap's total order.
     std::memset(slot_count, 0, T * sizeof(std::size_t));
     for (std::size_t i = 0; i < stale.size(); ++i) {
       const std::size_t t = stale[i].slot;
@@ -140,13 +138,10 @@ GreedyResult LazyGreedyScheduler::schedule(const Problem& problem,
       slot_ids[t * n + k] = stale[i].sensor;
       slot_entry[t * n + k] = i;
     }
-    util::parallel_chunks(T, [&](std::size_t t) {
-      const std::size_t count = slot_count[t];
-      if (count == 0) return;
-      slot_state[t]->marginal_batch({slot_ids + t * n, count},
-                                    {refresh_gains + t * n, count});
-    });
     for (std::size_t t = 0; t < T; ++t) {
+      if (slot_count[t] == 0) continue;
+      slot_state[t]->marginal_batch({slot_ids + t * n, slot_count[t]},
+                                    {refresh_gains + t * n, slot_count[t]});
       for (std::size_t k = 0; k < slot_count[t]; ++k) {
         QueueEntry& entry = stale[slot_entry[t * n + k]];
         entry.gain = refresh_gains[t * n + k];

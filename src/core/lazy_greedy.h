@@ -1,12 +1,15 @@
 // Lazy (CELF-style) greedy hill-climbing.
 //
-// Produces a schedule with the same guarantee as GreedyScheduler (and, up to
-// ties, the same schedule) while issuing far fewer marginal-gain queries:
-// submodularity means a (sensor, slot) pair's gain can only shrink as the
-// slot's active set grows, so stale queue entries are safe upper bounds and
-// only the queue head ever needs re-evaluation. This is the ablation for
-// DESIGN.md's "oracle-efficiency" design note; the paper itself ships the
-// plain O(n²T) scan.
+// Produces exactly GreedyScheduler's schedule — same placements, same
+// order, same gains, ties included — while issuing far fewer marginal-gain
+// queries: submodularity means a (sensor, slot) pair's gain can only shrink
+// as the slot's active set grows, so stale queue entries are safe upper
+// bounds and only the queue head ever needs re-evaluation. The heap breaks
+// gain ties on the lowest (sensor, slot), the plain scan's first maximum;
+// tests/test_lazy_greedy.cpp checks the equality bit for bit. This is the
+// ablation for DESIGN.md's "oracle-efficiency" design note; the paper
+// itself ships the plain O(n²T) scan, which is also faster at the sizes
+// coold accepts (see EXPERIMENTS.md).
 #pragma once
 
 #include "core/greedy.h"

@@ -10,17 +10,8 @@
 #include "obs/obs.h"
 #include "submodular/function.h"
 #include "util/arena.h"
-#include "util/parallel.h"
 
 namespace cool::core {
-
-namespace {
-
-// Sampled candidates per argmax chunk; fixed so the chunk grid is
-// identical at every thread count.
-constexpr std::size_t kScanGrain = 16;
-
-}  // namespace
 
 StochasticGreedyScheduler::StochasticGreedyScheduler(double epsilon)
     : epsilon_(epsilon) {
@@ -52,7 +43,7 @@ GreedyResult StochasticGreedyScheduler::schedule(const Problem& problem,
 
   // Scratch (candidate pool + batched gains) comes from the planner arena;
   // the sampled candidates sit contiguously at the pool's front after the
-  // partial Fisher-Yates pass, so each argmax chunk batches straight out of
+  // partial Fisher-Yates pass, so the argmax scan batches straight out of
   // the pool array.
   util::Arena local_arena;
   util::Arena& arena = ctx.arena ? *ctx.arena : local_arena;
@@ -60,17 +51,13 @@ GreedyResult StochasticGreedyScheduler::schedule(const Problem& problem,
   util::ArenaVector<std::size_t> pool(&arena);
   pool.resize(n);
   for (std::size_t v = 0; v < n; ++v) pool[v] = v;
-  // T gain rows, one per slot; a chunk owns columns [begin, end) of every
-  // row, so the parallel map bodies write disjoint slices.
-  double* gains_slab = arena.allocate_array<double>(n * T);
+  // One gain row for the unfused fallback, reused slot by slot.
+  double* gains = arena.allocate_array<double>(n);
 
   // Fused slot-row evaluation, resolved once per call (see greedy.cpp):
   // each sampled candidate's coverage row is walked a single time for all
   // T slots, producing bit-identical gains to the per-slot batch path.
   const sub::FusedSlotEvaluator fused = sub::resolve_fused(slot_state);
-  const sub::EvalState** state_ptrs =
-      arena.allocate_array<const sub::EvalState*>(T);
-  for (std::size_t t = 0; t < T; ++t) state_ptrs[t] = slot_state[t].get();
 
   for (std::size_t step = 0; step < n; ++step) {
     const std::size_t remaining = pool.size();
@@ -87,60 +74,17 @@ GreedyResult StochasticGreedyScheduler::schedule(const Problem& problem,
       std::swap(pool[i], pool[j]);
     }
 
-    // Parallel argmax over the sampled candidates. The sample order is
-    // fixed by the (serial) Fisher-Yates pass above, and ties break on the
-    // lowest (sample position, slot) pair — exactly the first maximum the
-    // serial i-outer/t-inner scan would have found, at every thread count.
-    struct Candidate {
-      double gain = -1.0;
-      std::size_t index = 0;  // position in the sample, not a sensor id
-      std::size_t slot = 0;
-    };
-    const auto better = [](const Candidate& a, const Candidate& b) {
-      if (a.gain != b.gain) return a.gain > b.gain ? a : b;
-      if (a.index != b.index) return a.index < b.index ? a : b;
-      return a.slot <= b.slot ? a : b;
-    };
-    const Candidate best = util::parallel_reduce(
-        sample_size, kScanGrain, Candidate{-1.0, sample_size, T},
-        [&](std::size_t begin, std::size_t end) {
-          // Batched row-at-a-time scan over this chunk's slice of the
-          // sample. Within a row the sample position ascends and the slot
-          // is fixed, so the first strict maximum is the row's
-          // better()-optimum; folding rows in t order then matches the
-          // serial i-outer/t-inner scan's unique total-order maximum.
-          const std::size_t len = end - begin;
-          const std::size_t* ids = pool.data() + begin;
-          Candidate local{-1.0, sample_size, T};
-          if (fused) {
-            double bg[sub::FusedSlotEvaluator::kMaxSlots];
-            std::size_t bi[sub::FusedSlotEvaluator::kMaxSlots];
-            fused.fn(state_ptrs, T, ids, len, bg, bi);
-            for (std::size_t t = 0; t < T; ++t)
-              local = better(local, Candidate{bg[t], begin + bi[t], t});
-          } else {
-            for (std::size_t t = 0; t < T; ++t) {
-              double* gains = gains_slab + t * n + begin;
-              slot_state[t]->marginal_batch({ids, len}, {gains, len});
-              std::size_t arg = 0;
-              for (std::size_t i = 1; i < len; ++i)
-                if (gains[i] > gains[arg]) arg = i;
-              local = better(local, Candidate{gains[arg], begin + arg, t});
-            }
-          }
-          return local;
-        },
-        better);
+    // Argmax over the sampled candidates; ties break on the lowest (sample
+    // position, slot) pair.
+    const detail::ScanBest best = detail::scan_argmax(
+        fused, slot_state, pool.data(), sample_size, gains);
     result.oracle_calls += sample_size * T;
-    const double best_gain = best.gain;
-    const std::size_t best_index = best.index;
-    const std::size_t best_slot = best.slot;
-    const std::size_t chosen = pool[best_index];
-    pool[best_index] = pool.back();
+    const std::size_t chosen = pool[best.index];
+    pool[best.index] = pool.back();
     pool.pop_back();
-    slot_state[best_slot]->add(chosen);
-    result.schedule.set_active(chosen, best_slot);
-    result.steps.push_back(GreedyStep{chosen, best_slot, best_gain});
+    slot_state[best.slot]->add(chosen);
+    result.schedule.set_active(chosen, best.slot);
+    result.steps.push_back(GreedyStep{chosen, best.slot, best.gain});
   }
   return result;
 }

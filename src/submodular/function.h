@@ -28,8 +28,7 @@ namespace cool::sub {
 //
 // Thread-safety contract: `marginal` and `marginal_batch` are const and
 // must be safe to call concurrently from multiple threads on the same
-// state (no mutable caches) — the parallel argmax scans rely on this.
-// `add` and `reset` require exclusive access.
+// state (no mutable caches). `add` and `reset` require exclusive access.
 class EvalState {
  public:
   virtual ~EvalState() = default;

@@ -114,6 +114,15 @@ const char* to_string(RequestType type) {
   return "unknown";
 }
 
+std::optional<std::uint64_t> integer_in_range(double number, std::uint64_t lo,
+                                              std::uint64_t hi) {
+  if (!(number >= static_cast<double>(lo) &&
+        number <= static_cast<double>(hi)) ||
+      number != std::floor(number))
+    return std::nullopt;
+  return static_cast<std::uint64_t>(number);
+}
+
 std::string NetworkSpec::to_json() const {
   std::string out = "{";
   out += "\"sensors\":" + std::to_string(sensors);
@@ -342,6 +351,17 @@ ResponseParse parse_response(std::string_view frame,
       return result;
     }
     Response& response = result.response;
+    // Integer members must be exact and in range; anything else rejects the
+    // whole frame instead of reaching an undefined cast.
+    const auto integer = [](const JsonValue& number, std::uint64_t lo,
+                            std::uint64_t hi) {
+      const auto parsed = integer_in_range(number.as_number(), lo, hi);
+      if (!parsed) throw std::runtime_error("integer field out of range");
+      return *parsed;
+    };
+    const auto count = [&](const JsonValue& number) {
+      return static_cast<std::size_t>(integer(number, 0, kMaxJsonInteger));
+    };
     if (value.contains("id")) response.id = value.at("id").as_string();
     if (value.contains("ok")) response.ok = value.at("ok").as_bool();
     if (value.contains("type")) response.type = value.at("type").as_string();
@@ -351,38 +371,30 @@ ResponseParse parse_response(std::string_view frame,
     if (value.contains("retry_after_ms"))
       response.retry_after_ms = value.at("retry_after_ms").as_number();
     if (value.contains("degrade"))
-      response.degrade = static_cast<int>(value.at("degrade").as_number());
+      response.degrade = static_cast<int>(integer(value.at("degrade"), 0, 2));
     if (value.contains("planner"))
       response.planner = value.at("planner").as_string();
     if (value.contains("utility"))
       response.utility = value.at("utility").as_number();
     if (value.contains("oracle_calls"))
-      response.oracle_calls =
-          static_cast<std::size_t>(value.at("oracle_calls").as_number());
-    if (value.contains("sensors"))
-      response.sensors =
-          static_cast<std::size_t>(value.at("sensors").as_number());
+      response.oracle_calls = count(value.at("oracle_calls"));
+    if (value.contains("sensors")) response.sensors = count(value.at("sensors"));
     if (value.contains("slots_per_period"))
-      response.slots_per_period =
-          static_cast<std::size_t>(value.at("slots_per_period").as_number());
-    if (value.contains("applied"))
-      response.applied =
-          static_cast<std::size_t>(value.at("applied").as_number());
+      response.slots_per_period = count(value.at("slots_per_period"));
+    if (value.contains("applied")) response.applied = count(value.at("applied"));
     if (value.contains("assignments")) {
       response.has_assignments = true;
       for (const auto& pair : value.at("assignments").as_array()) {
         const auto& cells = pair.as_array();
         if (cells.size() != 2) throw std::runtime_error("bad assignment pair");
-        response.assignments.emplace_back(
-            static_cast<std::size_t>(cells[0].as_number()),
-            static_cast<std::size_t>(cells[1].as_number()));
+        response.assignments.emplace_back(count(cells[0]), count(cells[1]));
       }
     }
     if (value.contains("queue_ms"))
       response.queue_ms = value.at("queue_ms").as_number();
     if (value.contains("run_ms")) response.run_ms = value.at("run_ms").as_number();
     if (value.contains("lsn"))
-      response.lsn = static_cast<std::uint64_t>(value.at("lsn").as_number());
+      response.lsn = integer(value.at("lsn"), 1, kMaxJsonInteger);
     if (value.contains("trace"))
       response.trace = obs::parse_trace_id(value.at("trace").as_string());
     if (value.contains("detail"))

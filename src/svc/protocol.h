@@ -27,7 +27,7 @@
 //    "network":"tenant-7",          // tenant key (required for plan types)
 //    "priority":1,                  // 0 interactive, 1 normal, 2 batch
 //    "deadline_ms":250,             // latency budget; 0 = service default
-//    "degrade_min":0,               // ladder floor (WAL replay pins this)
+//    "degrade_min":0,               // 0 exact, 2 HEF floor (1 = exact)
 //    "spec":{...},                  // network spec (required for schedule)
 //    "dead":[3,17]}                 // failed sensors (repair only)
 //
@@ -42,8 +42,9 @@
 // queue, so a daemon drowning in overload still describes itself):
 //   stats    flat global "stats" plus a per-tenant "tenants" object
 //            ({"tenants":{"t1":{"acked_ok":5,...}}}); "network" filters;
-//   healthz  liveness probe — "detail" is ok|degraded|overloaded from the
-//            queue-pressure watermarks, stats carry depth/uptime/lsn;
+//   healthz  liveness probe — "detail" is ok|degraded|overloaded from
+//            queue pressure (see svc/service.h), stats carry
+//            depth/uptime/lsn;
 //   dump     writes the flight-recorder ring to a JSONL artifact and
 //            answers with its path in "detail";
 //   profile  controls the in-process sampling + allocation profiler over a
@@ -58,6 +59,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -148,6 +150,16 @@ ParseResult request_from_json(const obs::JsonValue& value,
 NetworkSpec network_spec_from_json(const obs::JsonValue& value,
                                    const ParseLimits& limits = {});
 
+// Largest integer every JSON number up to it represents exactly (2^53): the
+// cap on LSNs and counts read back from responses and the WAL.
+inline constexpr std::uint64_t kMaxJsonInteger = std::uint64_t{1} << 53;
+
+// `number` as an integer in [lo, hi] (hi <= kMaxJsonInteger), or nullopt
+// for NaN, fractions and anything out of range — whose bare static_cast to
+// an integer type is undefined behaviour.
+std::optional<std::uint64_t> integer_in_range(double number, std::uint64_t lo,
+                                              std::uint64_t hi);
+
 struct Response {
   std::string id;
   bool ok = false;
@@ -155,8 +167,8 @@ struct Response {
   std::string network;
   std::string error;           // error slug when !ok
   double retry_after_ms = 0.0; // backpressure hint on shed_overload
-  int degrade = -1;            // ladder level actually used
-  std::string planner;         // "lazy_greedy" | "greedy" | "hef" | "repair"
+  int degrade = -1;            // ladder level actually used: 0 exact, 2 floor
+  std::string planner;         // "greedy" | "hef" | "repair"
   double utility = 0.0;        // per-period utility of the resulting schedule
   std::size_t oracle_calls = 0;
   bool has_assignments = false;

@@ -9,7 +9,6 @@
 #include "core/baselines.h"
 #include "core/cancel.h"
 #include "core/greedy.h"
-#include "core/lazy_greedy.h"
 #include "core/repair.h"
 #include "obs/json.h"
 #include "obs/obs.h"
@@ -27,20 +26,17 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+// Ladder levels on the wire and in the WAL. Level 1 (a retired plain-greedy
+// rung) is still accepted from degrade_min and old logs and runs exact.
+constexpr int kExact = 0;
+constexpr int kFloor = 2;
+
 const char* planner_name(int level) {
-  switch (level) {
-    case 0: return "lazy_greedy";
-    case 1: return "greedy";
-    default: return "hef";
-  }
+  return level == kExact ? "greedy" : "hef";
 }
 
 const char* plan_span_name(int level) {
-  switch (level) {
-    case 0: return "plan.lazy_greedy";
-    case 1: return "plan.greedy";
-    default: return "plan.hef";
-  }
+  return level == kExact ? "plan.greedy" : "plan.hef";
 }
 
 void fill_schedule_payload(Response& response,
@@ -303,10 +299,7 @@ Response CooldService::call(Request request) {
 }
 
 int CooldService::ladder_start_level() const {
-  const double pressure = queue_.pressure();
-  if (pressure < config_.high_watermark) return 0;
-  if (pressure < config_.crit_watermark) return 1;
-  return 2;
+  return queue_.pressure() < config_.crit_watermark ? kExact : kFloor;
 }
 
 void CooldService::worker_loop() {
@@ -352,22 +345,21 @@ void CooldService::execute_plan(Job& job) {
   const core::CancelToken token = core::CancelToken::with_budget(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::duration<double, std::milli>(budget_ms)));
-  int level = job.start_level;
+  // Lazy and plain greedy yield bit-identical schedules, so a level-0 WAL
+  // entry logged by the lazy rung replays on plain greedy unchanged.
+  int level = job.start_level < kFloor ? kExact : kFloor;
   while (true) {
     core::PlannerContext ctx;
     ctx.scratch_states = &session.scratch_states();
     ctx.arena = &session.arena();
-    if (job.use_deadline && level < 2) ctx.cancel = &token;
+    if (job.use_deadline && level == kExact) ctx.cancel = &token;
     const std::uint64_t span_start =
         config_.obs_enabled ? obs::trace_now_us() : 0;
     try {
-      core::GreedyResult result = [&]() -> core::GreedyResult {
-        switch (level) {
-          case 0: return core::LazyGreedyScheduler{}.schedule(session.problem(), ctx);
-          case 1: return core::GreedyScheduler{}.schedule(session.problem(), ctx);
-          default: return core::HefScheduler{}.schedule(session.problem(), ctx);
-        }
-      }();
+      core::GreedyResult result =
+          level == kExact
+              ? core::GreedyScheduler{}.schedule(session.problem(), ctx)
+              : core::HefScheduler{}.schedule(session.problem(), ctx);
       job.response.ok = true;
       job.response.degrade = level;
       job.response.planner = planner_name(level);
@@ -390,9 +382,9 @@ void CooldService::execute_plan(Job& job) {
                     level);
         if (flight_)
           flight_->record(obs::FlightKind::kDegrade, planner_name(level),
-                          request.network, trace, 0, 0, 2);
+                          request.network, trace, 0, 0, kFloor);
       }
-      level = 2;
+      level = kFloor;
     }
   }
   job.run_end = Clock::now();
@@ -739,12 +731,12 @@ Response CooldService::healthz_response(const Request& request) {
   response.ok = true;
   response.type = "healthz";
   const double pressure = queue_.pressure();
-  if (pressure < config_.high_watermark)
+  if (pressure < config_.crit_watermark)
     response.detail = "ok";
-  else if (pressure < config_.crit_watermark)
-    response.detail = "degraded";
+  else if (pressure < 1.0)
+    response.detail = "degraded";  // new plans start at the floor
   else
-    response.detail = "overloaded";
+    response.detail = "overloaded";  // queue full: offers are shed
   response.stats.emplace_back("pressure", pressure);
   response.stats.emplace_back("queue_depth",
                               static_cast<double>(queue_.depth()));

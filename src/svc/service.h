@@ -8,14 +8,16 @@
 //     All cache mutation happens here, in a deterministic order — batched
 //     execution is observationally identical to serial execution.
 //   Phase B (parallel)  plan. pop_batch() guarantees one ticket per
-//     network, so the jobs touch disjoint sessions; they run on the PR 5
-//     work-stealing pool. Each job walks the degradation ladder:
-//         level 0  lazy greedy   (fastest high-quality planner)
-//         level 1  plain greedy  (no priority-queue overhead)
+//     network, so the jobs touch disjoint sessions; they run on the
+//     work-stealing pool, one job per task (each plan itself is serial).
+//     Each job walks the degradation ladder:
+//         level 0  greedy (paper Algorithm 1, the exact planner)
 //         level 2  HEF-style single pass (O(n·T), never cancelled)
-//     The starting level comes from queue pressure (backlog rises -> start
-//     cheaper); levels 0 and 1 run under the request's deadline budget and
-//     a blown budget jumps straight to the always-completing floor.
+//     Level 1 named a retired plain-greedy rung; a degrade_min or WAL
+//     entry of 1 runs level 0, which yields the same schedule. Requests
+//     start at the floor once queue pressure reaches crit_watermark; the
+//     exact level runs under the request's deadline budget and a blown
+//     budget jumps straight to the always-completing floor.
 //   Phase C (serial, admission order)  assign LSNs to successful mutations,
 //     append them to the WAL — including the ladder level actually used —
 //     fsync once for the whole batch, then and only then invoke the
@@ -38,7 +40,9 @@
 //   stats    global counters + streaming-histogram latency percentiles +
 //            per-tenant blocks (read from relaxed atomics and mirrors; the
 //            worker-owned SessionCache is never touched off-thread);
-//   healthz  queue-pressure verdict (ok|degraded|overloaded) + liveness;
+//   healthz  queue-pressure verdict + liveness: ok below crit_watermark,
+//            degraded at or above it (new plans start at the floor),
+//            overloaded when the queue is full (offers are shed);
 //   dump     flight-recorder ring -> JSONL artifact, path in `detail`.
 // config.obs_enabled is the runtime kill switch: when false no flight
 // recorder is allocated, no spans are recorded and no histograms observed —
@@ -74,9 +78,7 @@ struct ServiceConfig {
   std::size_t batch_max = 8;
   std::size_t session_capacity = 64;
   double default_deadline_ms = 1000.0;  // used when a request sends none
-  // Queue-pressure thresholds for the degradation ladder's starting level:
-  // below high -> lazy greedy, below crit -> plain greedy, else HEF floor.
-  double high_watermark = 0.5;
+  // Queue pressure at which the ladder starts at the HEF floor.
   double crit_watermark = 0.85;
   std::string wal_dir = "coold-state";
   bool fsync = true;           // benches disable it to measure pure engine cost

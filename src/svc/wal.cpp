@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -107,12 +108,14 @@ WalRecovery read_wal_dir(const std::string& dir, const ParseLimits& limits) {
                        std::istreambuf_iterator<char>());
       try {
         const obs::JsonValue value = obs::parse_json(text);
-        if (value.is_object() && value.contains("lsn") &&
-            value.at("lsn").is_number()) {
+        std::optional<std::uint64_t> lsn;
+        if (value.is_object() && value.contains("lsn"))
+          lsn = integer_in_range(value.at("lsn").as_number(), 0,
+                                 kMaxJsonInteger);
+        if (lsn) {
           recovery.snapshot_present = true;
           recovery.snapshot_json = std::move(text);
-          recovery.snapshot_lsn =
-              static_cast<std::uint64_t>(value.at("lsn").as_number());
+          recovery.snapshot_lsn = *lsn;
           recovery.max_lsn = recovery.snapshot_lsn;
         } else {
           recovery.torn_bytes += text.size();
@@ -145,13 +148,20 @@ WalRecovery read_wal_dir(const std::string& dir, const ParseLimits& limits) {
       const obs::JsonValue value = obs::parse_json(line);
       if (value.is_object() && value.contains("lsn") &&
           value.at("lsn").is_number() && value.contains("req")) {
-        entry.lsn = static_cast<std::uint64_t>(value.at("lsn").as_number());
-        if (value.contains("degrade") && value.at("degrade").is_number())
-          entry.degrade = static_cast<int>(value.at("degrade").as_number());
+        // A non-integral or out-of-range lsn/degrade makes the line bad,
+        // exactly like a torn one (degrade 1 is the retired exact rung).
+        const auto lsn =
+            integer_in_range(value.at("lsn").as_number(), 1, kMaxJsonInteger);
+        const auto degrade =
+            value.contains("degrade")
+                ? integer_in_range(value.at("degrade").as_number(), 0, 2)
+                : std::optional<std::uint64_t>(0);
         if (value.contains("trace") && value.at("trace").is_string())
           entry.trace = obs::parse_trace_id(value.at("trace").as_string());
         ParseResult parsed = request_from_json(value.at("req"), limits);
-        if (parsed.ok && entry.lsn > prev_lsn) {
+        if (lsn && degrade && parsed.ok && *lsn > prev_lsn) {
+          entry.lsn = *lsn;
+          entry.degrade = static_cast<int>(*degrade);
           entry.request = std::move(parsed.request);
           entry_ok = true;
         }

@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
-#include "core/evaluator.h"
 #include "core/greedy.h"
 #include "net/network.h"
 #include "submodular/detection.h"
+#include "svc/session.h"
 #include "util/rng.h"
 
 namespace cool::core {
@@ -42,17 +43,47 @@ TEST(LazyGreedy, FeasibleAndComplete) {
     EXPECT_EQ(result.schedule.active_count(v), 1u);
 }
 
-TEST(LazyGreedy, UtilityMatchesPlainGreedyUpToTies) {
-  // CELF performs the same hill climb; when several (sensor, slot) pairs
-  // tie on gain the two implementations may break the tie differently and
-  // the trajectories drift slightly, so compare values with a 1% band.
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    const auto problem = random_instance(30, 4, 4, seed);
-    const auto plain = GreedyScheduler().schedule(problem);
-    const auto lazy = LazyGreedyScheduler().schedule(problem);
-    const double up = evaluate(problem, plain.schedule).total_utility;
-    const double ul = evaluate(problem, lazy.schedule).total_utility;
-    EXPECT_NEAR(up, ul, 0.01 * up) << "seed " << seed;
+// Same schedule, same placement order, same gains. coold serves plain
+// greedy only and replays WAL entries its former lazy rung logged on it, so
+// this equivalence is what keeps old logs replaying to identical state.
+void expect_same_climb(const Problem& problem, const std::string& label) {
+  const auto plain = GreedyScheduler().schedule(problem);
+  const auto lazy = LazyGreedyScheduler().schedule(problem);
+  EXPECT_TRUE(lazy.schedule == plain.schedule) << label;
+  ASSERT_EQ(lazy.steps.size(), plain.steps.size()) << label;
+  for (std::size_t i = 0; i < plain.steps.size(); ++i) {
+    const std::string at = label + " step " + std::to_string(i);
+    EXPECT_EQ(lazy.steps[i].sensor, plain.steps[i].sensor) << at;
+    EXPECT_EQ(lazy.steps[i].slot, plain.steps[i].slot) << at;
+    EXPECT_EQ(lazy.steps[i].gain, plain.steps[i].gain) << at;
+  }
+}
+
+TEST(LazyGreedy, SchedulesMatchPlainGreedyBitForBit) {
+  // Both climbs pick the first maximum in (sensor, slot) order, so they
+  // agree exactly, ties included.
+  for (const std::size_t n : {8u, 30u, 77u, 200u})
+    for (const std::size_t T : {3u, 4u, 8u})
+      for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u})
+        expect_same_climb(random_instance(n, n / 4 + 2, T, seed),
+                          "random n=" + std::to_string(n) +
+                              " T=" + std::to_string(T) +
+                              " seed=" + std::to_string(seed));
+  // Identical single-target sensors: every step is an all-way tie.
+  for (const std::size_t n : {8u, 13u, 40u})
+    for (const std::size_t T : {3u, 4u, 8u})
+      expect_same_climb(Problem(detect(n, 0.4), T, 1, true),
+                        "all-tie n=" + std::to_string(n) +
+                            " T=" + std::to_string(T));
+  // A coold session: sparse region scaled with n, as coold's clients send.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    svc::NetworkSpec spec;
+    spec.sensors = 300;
+    spec.targets = 450;
+    spec.region_side = 274.0;
+    spec.seed = seed;
+    expect_same_climb(svc::make_problem(spec),
+                      "session seed=" + std::to_string(seed));
   }
 }
 

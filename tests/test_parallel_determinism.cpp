@@ -1,8 +1,8 @@
-// The parallel engine's headline contract: every scheduler, the evaluator,
-// and the campaign runner produce bit-for-bit identical results at every
-// thread count. Each test runs the same workload at 1, 2, and 8 scheduler
-// threads and compares against the serial run with exact equality — no
-// tolerances anywhere.
+// The parallel engine's headline contract: LP rounding, the evaluator, and
+// the campaign runner produce bit-for-bit identical results at every thread
+// count. Each test runs the same workload at 1, 2, and 8 threads and
+// compares against the serial run with exact equality — no tolerances
+// anywhere. (The greedy-family scans are serial.)
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,11 +10,8 @@
 
 #include "core/evaluator.h"
 #include "core/greedy.h"
-#include "core/lazy_greedy.h"
 #include "core/lp_scheduler.h"
-#include "core/passive_greedy.h"
 #include "core/problem.h"
-#include "core/stochastic_greedy.h"
 #include "net/network.h"
 #include "sim/campaign.h"
 #include "submodular/detection.h"
@@ -42,80 +39,8 @@ std::shared_ptr<sub::MultiTargetDetectionUtility> make_utility(std::size_t n) {
       sub::MultiTargetDetectionUtility::uniform(n, covers, 0.4));
 }
 
-core::Problem make_problem(std::size_t n, bool rho_gt_one) {
-  return core::Problem(make_utility(n), 4, 3, rho_gt_one);
-}
-
-// Runs `schedule()` serially and at each parallel width; every run must
-// reproduce the serial schedule, steps, and oracle count exactly.
-template <typename Run>
-void expect_identical_across_threads(Run&& run) {
-  util::set_thread_count(1);
-  const auto serial = run();
-  const double serial_utility = serial.total_utility;
-  for (const std::size_t threads : kThreadCounts) {
-    util::set_thread_count(threads);
-    const auto parallel = run();
-    EXPECT_TRUE(parallel.schedule == serial.schedule)
-        << "schedule diverged at " << threads << " threads";
-    EXPECT_EQ(parallel.total_utility, serial_utility)
-        << "utility diverged at " << threads << " threads";
-    EXPECT_EQ(parallel.oracle_calls, serial.oracle_calls)
-        << "oracle accounting diverged at " << threads << " threads";
-  }
-}
-
-// Adapter: schedulers return {schedule, steps, oracle_calls}; attach the
-// evaluated utility so the comparison covers the full numeric pipeline.
-template <typename Result>
-struct Outcome {
-  core::PeriodicSchedule schedule;
-  double total_utility;
-  std::size_t oracle_calls;
-};
-
-template <typename Result>
-Outcome<Result> outcome(const core::Problem& problem, const Result& result) {
-  return {result.schedule,
-          core::evaluate(problem, result.schedule).total_utility,
-          result.oracle_calls};
-}
-
-TEST_F(ParallelDeterminism, GreedyScheduler) {
-  for (const std::size_t n : {7u, 30u, 65u}) {
-    const auto problem = make_problem(n, true);
-    expect_identical_across_threads(
-        [&] { return outcome(problem, core::GreedyScheduler().schedule(problem)); });
-  }
-}
-
-TEST_F(ParallelDeterminism, LazyGreedyScheduler) {
-  for (const std::size_t n : {7u, 30u, 65u}) {
-    const auto problem = make_problem(n, true);
-    expect_identical_across_threads([&] {
-      return outcome(problem, core::LazyGreedyScheduler().schedule(problem));
-    });
-  }
-}
-
-TEST_F(ParallelDeterminism, StochasticGreedyScheduler) {
-  for (const std::uint64_t seed : {3u, 17u, 91u}) {
-    const auto problem = make_problem(30, true);
-    expect_identical_across_threads([&] {
-      util::Rng rng(seed);  // fresh stream per run: same draws every time
-      return outcome(
-          problem, core::StochasticGreedyScheduler(0.1).schedule(problem, rng));
-    });
-  }
-}
-
-TEST_F(ParallelDeterminism, PassiveGreedyScheduler) {
-  for (const std::size_t n : {7u, 30u}) {
-    const auto problem = make_problem(n, false);
-    expect_identical_across_threads([&] {
-      return outcome(problem, core::PassiveGreedyScheduler().schedule(problem));
-    });
-  }
+core::Problem make_problem(std::size_t n) {
+  return core::Problem(make_utility(n), 4, 3, true);
 }
 
 TEST_F(ParallelDeterminism, LpSchedulerRounding) {
@@ -137,7 +62,7 @@ TEST_F(ParallelDeterminism, LpSchedulerRounding) {
 }
 
 TEST_F(ParallelDeterminism, EvaluatorSlotFanOut) {
-  const auto problem = make_problem(30, true);
+  const auto problem = make_problem(30);
   util::set_thread_count(1);
   const auto schedule = core::GreedyScheduler().schedule(problem).schedule;
   const auto serial = core::evaluate(problem, schedule);
@@ -155,7 +80,7 @@ TEST_F(ParallelDeterminism, EvaluatorSlotFanOut) {
 }
 
 TEST_F(ParallelDeterminism, ReusedEvaluatorMatchesOneShot) {
-  const auto problem = make_problem(30, true);
+  const auto problem = make_problem(30);
   util::set_thread_count(2);
   const auto schedule = core::GreedyScheduler().schedule(problem).schedule;
   core::Evaluator evaluator(problem);

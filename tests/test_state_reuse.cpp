@@ -115,9 +115,9 @@ TEST(StateReuse, HefArenaMatchesHeap) {
 }
 
 TEST(StateReuse, ArenaSurvivesAcrossSchedulerKinds) {
-  // The svc ladder shares one session arena across lazy -> greedy -> HEF
-  // hops; each scheduler reset()s and re-carves it, so hopping must not
-  // perturb any rung's output.
+  // One session arena serves every scheduler kind (the svc ladder's
+  // greedy -> HEF hop among them); each reset()s and re-carves it, so
+  // hopping must not perturb any scheduler's output.
   const core::Problem problem = make_instance(21);
   std::vector<std::unique_ptr<sub::EvalState>> scratch;
   util::Arena arena;
@@ -138,9 +138,8 @@ TEST(StateReuse, ArenaSurvivesAcrossSchedulerKinds) {
 }
 
 TEST(StateReuse, ScratchSurvivesAcrossSchedulerKinds) {
-  // The svc ladder can run lazy greedy, then fall to HEF inside one
-  // request, all against the same scratch vector: every hop must still
-  // match its fresh-state twin.
+  // A request can run an exact planner, then fall to HEF, all against the
+  // same scratch vector: every hop must still match its fresh-state twin.
   const core::Problem problem = make_instance(21);
   std::vector<std::unique_ptr<sub::EvalState>> scratch;
   core::PlannerContext ctx;

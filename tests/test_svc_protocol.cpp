@@ -228,5 +228,23 @@ TEST(SvcProtocol, ParseResponseToleratesGarbage) {
   EXPECT_FALSE(svc::parse_response("[]").ok);
 }
 
+TEST(SvcProtocol, ParseResponseRejectsNonIntegralOrOutOfRangeIntegers) {
+  // Rejected, never cast: a double -> integer cast of an out-of-range value
+  // is undefined behaviour, and a fraction is not a count.
+  for (const char* member :
+       {"\"lsn\":-3", "\"lsn\":1e300", "\"lsn\":2.5", "\"lsn\":0",
+        "\"degrade\":1e300", "\"degrade\":7.5", "\"degrade\":7",
+        "\"degrade\":-1", "\"oracle_calls\":-1", "\"sensors\":1e300",
+        "\"applied\":0.5", "\"assignments\":[[1e300,0]]",
+        "\"assignments\":[[0,-2]]"}) {
+    const std::string frame =
+        std::string("{\"id\":\"r\",\"ok\":true,") + member + "}";
+    EXPECT_FALSE(svc::parse_response(frame).ok) << frame;
+  }
+  // In-range values still parse, up to lsn 2^53.
+  EXPECT_TRUE(
+      svc::parse_response("{\"degrade\":1,\"lsn\":9007199254740992}").ok);
+}
+
 }  // namespace
 }  // namespace cool

@@ -1,6 +1,7 @@
 // In-process CooldService behaviour: the degradation ladder, error paths,
 // LRU eviction + deterministic rebuild, scratch-state reuse across
-// requests, clean stop/restart equality, and WAL replay equivalence.
+// requests, clean stop/restart equality, WAL replay equivalence (old ladder
+// levels included), and batch planning at different pool widths.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/baselines.h"
+#include "core/greedy.h"
+#include "core/lazy_greedy.h"
 #include "svc/service.h"
+#include "svc/session.h"
 #include "svc/wal.h"
 #include "util/parallel.h"
 
@@ -80,7 +85,7 @@ TEST_F(SvcServiceTest, ScheduleReplanRepairHappyPath) {
 
   const svc::Response scheduled = service.call(schedule_request("t1"));
   ASSERT_TRUE(scheduled.ok) << scheduled.error;
-  EXPECT_EQ(scheduled.planner, "lazy_greedy");
+  EXPECT_EQ(scheduled.planner, "greedy");
   EXPECT_EQ(scheduled.degrade, 0);
   EXPECT_EQ(scheduled.lsn, 1u);
   EXPECT_TRUE(scheduled.has_assignments);
@@ -313,6 +318,92 @@ TEST_F(SvcServiceTest, HandWrittenWalReplaysToLiveState) {
             svc::schedule_from_response(live.call(status_request("t1"))));
   replica.stop();
   live.stop();
+}
+
+TEST_F(SvcServiceTest, WalLevelsZeroOneTwoReplayToTheirPlanners) {
+  // Logs written while the ladder was lazy greedy (0) -> plain greedy (1)
+  // -> HEF (2) must still replay to the state those planners produced.
+  // Level 1 and the lazy level 0 both replay on plain greedy, which is
+  // exact because lazy and plain greedy yield identical schedules.
+  const std::vector<svc::Request> requests = {
+      schedule_request("t0", 31), schedule_request("t1", 32),
+      schedule_request("t2", 33)};
+  const auto plan = [&](const auto& scheduler, std::size_t i) {
+    return scheduler.schedule(svc::make_problem(requests[i].spec)).schedule;
+  };
+  const std::vector<core::PeriodicSchedule> produced = {
+      plan(core::LazyGreedyScheduler{}, 0), plan(core::GreedyScheduler{}, 1),
+      plan(core::HefScheduler{}, 2)};
+  {
+    svc::WalWriter writer(dir_, false);
+    for (int level = 0; level < 3; ++level) {
+      svc::WalEntry entry;
+      entry.lsn = static_cast<std::uint64_t>(level) + 1;
+      entry.degrade = level;
+      entry.request = requests[static_cast<std::size_t>(level)];
+      writer.append(entry);
+    }
+    writer.sync();
+  }
+  svc::CooldService replica(make_config());
+  EXPECT_EQ(replica.stats().replayed, 3u);
+  replica.start();
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    EXPECT_EQ(svc::schedule_from_response(
+                  replica.call(status_request(requests[i].network))),
+              produced[i])
+        << "level " << i;
+  replica.stop();
+
+  // A live request pinned to those levels acks exact (0) for 0 and 1.
+  wipe(dir_);
+  svc::CooldService live(make_config());
+  live.start();
+  for (int level = 0; level < 3; ++level) {
+    svc::Request request = requests[static_cast<std::size_t>(level)];
+    request.degrade_min = level;
+    const svc::Response reply = live.call(std::move(request));
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.degrade, level == 2 ? 2 : 0);
+    EXPECT_EQ(reply.planner, level == 2 ? "hef" : "greedy");
+    EXPECT_EQ(svc::schedule_from_response(reply),
+              produced[static_cast<std::size_t>(level)]);
+  }
+  live.stop();
+}
+
+TEST_F(SvcServiceTest, BatchedPlansMatchAcrossThreadCounts) {
+  // Phase B plans a batch's requests side by side on the pool; the acks
+  // must not depend on its width. Submitting before start() queues all six
+  // networks into one batch.
+  std::vector<std::vector<svc::Response>> runs;
+  for (const std::size_t threads : {1u, 4u}) {
+    util::set_thread_count(threads);
+    wipe(dir_);
+    svc::CooldService service(make_config());
+    std::vector<svc::Response> acks(6);
+    for (std::size_t i = 0; i < acks.size(); ++i)
+      service.submit(schedule_request("t" + std::to_string(i), 50 + i),
+                     [&acks, i](svc::Response reply) {
+                       acks[i] = std::move(reply);
+                     });
+    service.start();
+    service.stop();  // joins the worker: every ack has landed
+    runs.push_back(std::move(acks));
+  }
+  for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    const svc::Response& serial = runs[0][i];
+    const svc::Response& wide = runs[1][i];
+    ASSERT_TRUE(serial.ok && wide.ok) << serial.error << wide.error;
+    EXPECT_EQ(serial.degrade, 0);
+    EXPECT_EQ(wide.degrade, serial.degrade);
+    EXPECT_EQ(wide.lsn, serial.lsn);
+    EXPECT_EQ(wide.utility, serial.utility);
+    EXPECT_EQ(wide.oracle_calls, serial.oracle_calls);
+    EXPECT_EQ(svc::schedule_from_response(wide),
+              svc::schedule_from_response(serial))
+        << "network t" << i;
+  }
 }
 
 TEST_F(SvcServiceTest, AcksAfterTornTailRecoveryStayReplayable) {

@@ -102,6 +102,33 @@ TEST_F(SvcWalTest, ReaderStopsAtNonMonotoneLsn) {
   EXPECT_GT(recovery.torn_bytes, 0u);
 }
 
+TEST_F(SvcWalTest, BadLsnOrDegradeEndsReplayLikeATornLine) {
+  // Each bad value ends replay like a torn line: a cast of -3 or 1e300 is
+  // undefined behaviour, and "degrade":7 must not replay at the floor.
+  const std::string good = make_entry(2, "t2").to_line();  // degrade 2
+  const std::string head = "{\"lsn\":2,\"degrade\":2,";
+  ASSERT_EQ(good.rfind(head, 0), 0u);
+  const std::string body = good.substr(head.size());
+  for (const char* fields :
+       {"\"lsn\":-3,\"degrade\":0,", "\"lsn\":1e300,\"degrade\":0,",
+        "\"lsn\":2.5,\"degrade\":0,", "\"lsn\":2,\"degrade\":1e300,",
+        "\"lsn\":2,\"degrade\":7.5,", "\"lsn\":2,\"degrade\":7,",
+        "\"lsn\":2,\"degrade\":-1,", "\"lsn\":2,\"degrade\":\"0\","}) {
+    std::remove(svc::wal_path(dir_).c_str());
+    const std::string bad = "{" + std::string(fields) + body;
+    const std::string after = make_entry(3, "t3").to_line();
+    {
+      svc::WalWriter writer(dir_, false);
+      writer.append(make_entry(1, "t1"));
+    }
+    append_raw(bad + "\n" + after + "\n");
+    const svc::WalRecovery recovery = svc::read_wal_dir(dir_);
+    ASSERT_EQ(recovery.entries.size(), 1u) << bad;
+    EXPECT_EQ(recovery.max_lsn, 1u) << bad;
+    EXPECT_EQ(recovery.torn_bytes, bad.size() + 1 + after.size() + 1) << bad;
+  }
+}
+
 TEST_F(SvcWalTest, SnapshotLsnFiltersOlderEntries) {
   svc::write_snapshot_atomic(dir_, "{\"schema_version\":1,\"lsn\":2,\"clock\":9,\"sessions\":[]}");
   {
@@ -120,17 +147,23 @@ TEST_F(SvcWalTest, SnapshotLsnFiltersOlderEntries) {
 
 TEST_F(SvcWalTest, MalformedSnapshotIsTreatedAsAbsent) {
   {
-    std::ofstream out(svc::snapshot_path(dir_));
-    out << "{\"schema_version\":1,\"lsn\":2,";  // truncated mid-write
-  }
-  {
     svc::WalWriter writer(dir_, false);
     writer.append(make_entry(1, "t1"));
   }
-  const svc::WalRecovery recovery = svc::read_wal_dir(dir_);
-  EXPECT_FALSE(recovery.snapshot_present);
-  EXPECT_GT(recovery.torn_bytes, 0u);
-  ASSERT_EQ(recovery.entries.size(), 1u) << "full WAL replays without a snapshot floor";
+  for (const char* snapshot :
+       {"{\"schema_version\":1,\"lsn\":2,",  // truncated mid-write
+        "{\"schema_version\":1,\"lsn\":-2,\"sessions\":[]}",
+        "{\"schema_version\":1,\"lsn\":1e300,\"sessions\":[]}"}) {
+    {
+      std::ofstream out(svc::snapshot_path(dir_));
+      out << snapshot;
+    }
+    const svc::WalRecovery recovery = svc::read_wal_dir(dir_);
+    EXPECT_FALSE(recovery.snapshot_present) << snapshot;
+    EXPECT_GT(recovery.torn_bytes, 0u) << snapshot;
+    ASSERT_EQ(recovery.entries.size(), 1u)
+        << "full WAL replays without a snapshot floor: " << snapshot;
+  }
 }
 
 TEST_F(SvcWalTest, SnapshotWriteReplacesAtomically) {

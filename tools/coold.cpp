@@ -15,11 +15,13 @@
 //   --batch-max N         max requests per worker batch  (default 8)
 //   --sessions N          resident session cap (LRU)     (default 64)
 //   --deadline-ms X       default per-request budget     (default 1000)
-//   --high-watermark X    pressure to start degrading    (default 0.5)
-//   --crit-watermark X    pressure to start at the floor (default 0.85)
+//   --crit-watermark X    pressure to start at the floor (default 0.85);
+//                         healthz says ok below it, degraded at or above
+//                         it, overloaded when the queue is full
 //   --snapshot-every N    WAL entries between snapshots  (default 64)
 //   --no-fsync            skip fsync (benchmarks only — crash safety off)
-//   --threads N           planner pool size (0 = auto)
+//   --threads N           pool that plans a batch's requests side by side
+//                         (0 = auto; each plan itself runs serially)
 //   --obs on|off          introspection plane kill switch (default on; the
 //                         COOL_OBS_ENABLED env var sets the default, the
 //                         flag wins). Off = no flight recorder, no spans,
@@ -74,7 +76,6 @@ int main(int argc, char** argv) {
     config.session_capacity =
         static_cast<std::size_t>(cli.get_int("sessions", 64));
     config.default_deadline_ms = cli.get_double("deadline-ms", 1000.0);
-    config.high_watermark = cli.get_double("high-watermark", 0.5);
     config.crit_watermark = cli.get_double("crit-watermark", 0.85);
     config.snapshot_every =
         static_cast<std::size_t>(cli.get_int("snapshot-every", 64));
