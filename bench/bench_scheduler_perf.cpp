@@ -20,7 +20,10 @@
 //                     (scratch states + arena), and when the allocation
 //                     hooks are compiled in the run also records
 //                     greedy/lazy_steady_alloc_calls: the exact heap
-//                     allocation count of one warmed schedule() call
+//                     allocation count of one warmed schedule() call.
+//                     It also times repair_schedule on the greedy schedule
+//                     after two seeded deaths (repair_wall_ms,
+//                     repair_oracle_calls)
 //   --threads <N>     util/parallel pool size (LP rounding and the
 //                     evaluator fan out on it; the greedy-family scans are
 //                     serial)
@@ -45,6 +48,7 @@
 #include "core/lp_scheduler.h"
 #include "core/passive_greedy.h"
 #include "core/problem.h"
+#include "core/repair.h"
 #include "geometry/arrangement.h"
 #include "geometry/deployment.h"
 #include "lp/simplex.h"
@@ -163,8 +167,8 @@ double best_of(std::size_t reps, Run&& run) {
   return best;
 }
 
-// Perf-harness mode: a fixed greedy/lazy-greedy workload with deterministic
-// utilities and oracle counts; only the wall-clock metrics vary between
+// Perf-harness mode: a fixed greedy/lazy-greedy/repair workload with
+// deterministic utilities and oracle counts; only the wall-clock metrics vary between
 // runs, which is exactly what the tolerance bands in
 // scripts/check_perf_regress.sh account for.
 int run_json_mode(const std::string& json_path, std::size_t n,
@@ -191,6 +195,23 @@ int run_json_mode(const std::string& json_path, std::size_t n,
   const double lazy_ms = best_of(reps, [&] {
     return cool::core::LazyGreedyScheduler().schedule(problem, ctx);
   });
+  // Repair after two deaths (drawn from the seed) on the greedy schedule:
+  // the request coold serves for `repair`.
+  std::vector<std::uint8_t> dead(n, 0);
+  cool::util::Rng dead_rng(seed);
+  for (std::size_t killed = 0; killed < std::min<std::size_t>(2, n);) {
+    const auto v = static_cast<std::size_t>(
+        dead_rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    if (dead[v]) continue;
+    dead[v] = 1;
+    ++killed;
+  }
+  const auto repaired =
+      cool::core::repair_schedule(greedy.schedule, problem.slot_utility(), dead);
+  const double repair_ms = best_of(reps, [&] {
+    return cool::core::repair_schedule(greedy.schedule, problem.slot_utility(),
+                                       dead);
+  });
   const double greedy_utility =
       cool::core::evaluate(problem, greedy.schedule).per_slot_average;
   const double lazy_utility =
@@ -205,10 +226,8 @@ int run_json_mode(const std::string& json_path, std::size_t n,
       {"lazy_utility", lazy_utility},
       {"greedy_oracle_calls", static_cast<double>(greedy.oracle_calls)},
       {"lazy_oracle_calls", static_cast<double>(lazy.oracle_calls)},
-      {"greedy_oracle_calls_per_s",
-       greedy_ms > 0.0
-           ? static_cast<double>(greedy.oracle_calls) / (greedy_ms / 1000.0)
-           : 0.0}};
+      {"repair_wall_ms", repair_ms},
+      {"repair_oracle_calls", static_cast<double>(repaired.oracle_calls)}};
 
   // Steady-state allocation audit: one more schedule() against the warmed
   // context, with the allocation hooks counting. The counts are exact and

@@ -6,10 +6,18 @@
 // is placed. Lemma 4.1 / Theorem 4.3: the resulting periodic schedule is a
 // 1/2-approximation of the optimal schedule for any horizon ℒ = αT.
 //
-// Complexity: n placement steps, each scanning at most n·T marginals, each
-// marginal O(degree) for the bundled utilities — O(n²·T·deg) total. Ties
-// go to the lowest (sensor, slot) pair. LazyGreedyScheduler is the
-// CELF-accelerated variant and returns the identical schedule and steps.
+// Complexity: every (sensor, slot) marginal is computed once, then each
+// placement recomputes only the marginals it can change — those of the
+// placed sensor's dependents (SubmodularFunction::dependents) in the one
+// slot that grew — and a tournament tree over per-sensor best slots yields
+// the argmax in O(log n) (DESIGN.md section 16). That is n·T + Σ|deps|
+// oracle calls: about n·T + 3n on coold's sparse detection specs, and
+// n·T + n(n−1)/2 for a utility that reports every element as dependent,
+// against the naive rescan's T·n(n+1)/2. Ties go to the lowest (sensor,
+// slot) pair. The cached gains are the values a full rescan would compute,
+// bit for bit, so the schedule and steps are the naive climb's.
+// LazyGreedyScheduler is the CELF-accelerated variant and returns the
+// identical schedule and steps.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +61,7 @@ struct GreedyResult {
 //                   guarantees this per network. A vector of the wrong size
 //                   (e.g. first use, empty) is grown/rebuilt in place.
 //   arena           caller-owned bump arena backing the scheduler's scratch
-//                   buffers (candidate ids, gains matrices, the lazy heap).
+//                   buffers (gain cache, argmax tree, the lazy heap).
 //                   reset() at entry — so the caller must not hold arena
 //                   pointers across schedule() calls — and retained, which
 //                   makes every steady-state call allocation-free. When
@@ -74,22 +82,6 @@ namespace detail {
 std::vector<std::unique_ptr<sub::EvalState>>& prepare_slot_states(
     const Problem& problem, const PlannerContext& ctx, std::size_t slots,
     std::vector<std::unique_ptr<sub::EvalState>>& local);
-
-struct ScanBest {
-  double gain = -1.0;
-  std::size_t index = 0;  // position in `ids`, not a sensor id
-  std::size_t slot = 0;
-};
-
-// The (candidate, slot) argmax scan shared by the greedy-family schedulers:
-// the maximum of states[t]->marginal(ids[i]) over i < len and every slot t,
-// ties broken on the lowest (i, t) pair — the first maximum of the
-// i-outer/t-inner scan. `fused` comes from sub::resolve_fused(states);
-// `gains` is len doubles of scratch for the unfused fallback. Requires
-// len >= 1.
-ScanBest scan_argmax(const sub::FusedSlotEvaluator& fused,
-                     const std::vector<std::unique_ptr<sub::EvalState>>& states,
-                     const std::size_t* ids, std::size_t len, double* gains);
 }  // namespace detail
 
 class GreedyScheduler {

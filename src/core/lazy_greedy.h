@@ -8,8 +8,10 @@
 // gain ties on the lowest (sensor, slot), the plain scan's first maximum;
 // tests/test_lazy_greedy.cpp checks the equality bit for bit. This is the
 // ablation for DESIGN.md's "oracle-efficiency" design note; the paper
-// itself ships the plain O(n²T) scan, which is also faster at the sizes
-// coold accepts (see EXPERIMENTS.md).
+// itself ships the plain O(n²T) scan. GreedyScheduler gets that scan's
+// answer from cached gains, refreshing only dependents (DESIGN.md §16),
+// which is faster than this queue at every size measured (see
+// EXPERIMENTS.md).
 #pragma once
 
 #include "core/greedy.h"

@@ -1,12 +1,14 @@
 #include "core/repair.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "core/lazy_greedy.h"
 #include "core/passive_greedy.h"
 #include "obs/obs.h"
+#include "util/arena.h"
 
 namespace cool::core {
 
@@ -108,48 +110,98 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
 
   const std::size_t max_moves =
       config.max_moves > 0 ? config.max_moves : 4 * n;
-  // Incremental caches: a move only changes two slot sets, so losses and
-  // gains tied to the untouched slots stay exact between rounds. `dirty`
-  // marks the slots whose cached numbers must be refreshed.
+  // Exact caches (DESIGN.md section 16): loss[v] is the cost of vacating
+  // v's home slot, gain[v*T + t] what v would add to slot t (kept for
+  // t != home[v] in every slot a move may target). A move from slot a to
+  // slot b changes only those two slot sets, and in them only the numbers
+  // of the mover's dependents, so only those are recomputed — by the same
+  // oracle on add sequences that agree on every dependent, hence bit for
+  // bit the values a full recompute would give.
   std::vector<std::unique_ptr<sub::EvalState>> states(T);
+  for (std::size_t t = 0; t < T; ++t) {
+    states[t] = utility.make_state();
+    for (const auto u : slot_sets[t]) states[t]->add(u);
+  }
+  const auto open = [&](std::size_t t) {
+    return !config.restrict_to_affected || affected[t];
+  };
+  std::vector<std::size_t> movers;
+  for (std::size_t v = 0; v < n; ++v)
+    if (movable[v]) movers.push_back(v);
   std::vector<double> loss(n, 0.0);
-  std::vector<std::vector<double>> gain(n, std::vector<double>(T, 0.0));
-  std::vector<std::uint8_t> dirty(T, 1);
-  while (result.moves < max_moves) {
-    for (std::size_t t = 0; t < T; ++t) {
-      if (!dirty[t]) continue;
-      states[t] = utility.make_state();
-      for (const auto u : slot_sets[t]) states[t]->add(u);
+  std::vector<double> gain(n * T, 0.0);
+  std::vector<std::size_t> batch(movers.size());
+  std::vector<double> fresh(movers.size());
+  // Every mover's gain into slot t (its home excepted), one batch.
+  const auto fill_slot_gains = [&](std::size_t t) {
+    std::size_t count = 0;
+    for (const auto v : movers)
+      if (home[v] != t) batch[count++] = v;
+    states[t]->marginal_batch({batch.data(), count}, {fresh.data(), count});
+    result.oracle_calls += count;
+    for (std::size_t k = 0; k < count; ++k) gain[batch[k] * T + t] = fresh[k];
+  };
+
+  // loss[v] = U(A) − U(A \ {v}) for every v in `who`, all homed in slot A:
+  // v's marginal on the rest of A. Deleting a non-dependent of v from an
+  // add sequence leaves v's marginal bit-identical, so sensors that are not
+  // each other's dependents share one rest state, U(A \ G) for the class G.
+  // A greedy colouring over the (symmetric) dependents relation forms the
+  // classes — one per sensor when the utility does not list dependents —
+  // and each class costs one reset() of a single scratch state plus A's
+  // adds in slot order.
+  util::Arena arena(n * (sizeof(std::uint32_t) + sizeof(std::size_t)) + 64);
+  sub::DependentsScratch dependents(arena, n);
+  const auto rest = utility.make_state();
+  constexpr std::size_t kUnclassed = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> klass(n, kUnclassed);
+  std::vector<std::size_t> seen(n, 0);  // per class: last sensor that saw it
+  std::size_t sighting = 0;
+  const auto refresh_losses = [&](std::size_t t,
+                                  std::span<const std::size_t> who) {
+    std::size_t classes = 0;
+    for (const auto v : who) {
+      std::size_t c = classes;  // everything depends on v: a class of its own
+      if (const auto listed = utility.dependents(v, dependents)) {
+        ++sighting;
+        for (const auto u : *listed)
+          if (klass[u] != kUnclassed) seen[klass[u]] = sighting;
+        for (c = 0; c < classes && seen[c] == sighting;) ++c;
+      }
+      klass[v] = c;
+      classes = std::max(classes, c + 1);
     }
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!movable[v]) continue;
-      // Cost of vacating v's current slot: its marginal on the rest of the
-      // slot's active set (exactly U(A) − U(A \ {v})).
-      if (home[v] != kNoSlot && dirty[home[v]]) {
-        const auto rest = utility.make_state();
-        for (const auto u : slot_sets[home[v]])
-          if (u != v) rest->add(u);
+    for (std::size_t c = 0; c < classes; ++c) {
+      rest->reset();
+      for (const auto u : slot_sets[t])
+        if (klass[u] != c) rest->add(u);
+      for (const auto v : who) {
+        if (klass[v] != c) continue;
         loss[v] = rest->marginal(v);
         ++result.oracle_calls;
       }
-      for (std::size_t t = 0; t < T; ++t) {
-        if (t == home[v] || !dirty[t]) continue;
-        if (config.restrict_to_affected && !affected[t]) continue;
-        gain[v][t] = states[t]->marginal(v);
-        ++result.oracle_calls;
-      }
     }
-    std::fill(dirty.begin(), dirty.end(), static_cast<std::uint8_t>(0));
+    for (const auto v : who) klass[v] = kUnclassed;
+  };
 
+  std::vector<std::size_t> homed;
+  for (std::size_t t = 0; t < T; ++t) {
+    homed.clear();
+    for (const auto v : slot_sets[t])
+      if (movable[v]) homed.push_back(v);
+    refresh_losses(t, homed);
+    if (open(t)) fill_slot_gains(t);
+  }
+
+  std::vector<std::size_t> touched;
+  while (result.moves < max_moves) {
     double best_delta = config.min_gain;
     std::size_t best_v = n, best_to = T;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!movable[v]) continue;
+    for (const auto v : movers) {
       const double vacate = home[v] != kNoSlot ? loss[v] : 0.0;
       for (std::size_t t = 0; t < T; ++t) {
-        if (t == home[v]) continue;
-        if (config.restrict_to_affected && !affected[t]) continue;
-        const double delta = gain[v][t] - vacate;
+        if (t == home[v] || !open(t)) continue;
+        const double delta = gain[v * T + t] - vacate;
         if (delta > best_delta) {
           best_delta = delta;
           best_v = v;
@@ -159,19 +211,49 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
     }
     if (best_v == n) break;
 
-    if (home[best_v] != kNoSlot) {
-      const std::size_t from = home[best_v];
+    const std::size_t from = home[best_v];
+    bool from_opened = false;
+    if (from != kNoSlot) {
       result.schedule.set_active(best_v, from, false);
       auto& from_set = slot_sets[from];
       from_set.erase(std::find(from_set.begin(), from_set.end(), best_v));
+      from_opened = !open(from);
       affected[from] = 1;  // the vacated slot may now need patching too
-      dirty[from] = 1;
+      states[from]->reset();
+      for (const auto u : from_set) states[from]->add(u);
     }
     result.schedule.set_active(best_v, best_to);
     slot_sets[best_to].push_back(best_v);
     home[best_v] = best_to;
-    dirty[best_to] = 1;
+    states[best_to]->add(best_v);
     ++result.moves;
+
+    // Refresh what reads the two changed slots: the losses of the mover's
+    // dependents homed there and their gains into them. A slot that has
+    // just opened to moves had no gains cached, so it gets every mover's.
+    // (Copied out: refresh_losses reuses the dependents scratch.)
+    const auto listed = utility.dependents(best_v, dependents);
+    if (listed)
+      touched.assign(listed->begin(), listed->end());
+    else
+      touched = movers;
+    for (const std::size_t t : {from, best_to}) {
+      if (t == kNoSlot) continue;
+      const bool every_gain =
+          open(t) && (!listed || (t == from && from_opened));
+      homed.clear();
+      for (const auto u : touched) {
+        if (!movable[u]) continue;
+        if (home[u] == t) {
+          homed.push_back(u);
+        } else if (open(t) && !every_gain) {
+          gain[u * T + t] = states[t]->marginal(u);
+          ++result.oracle_calls;
+        }
+      }
+      if (every_gain) fill_slot_gains(t);
+      refresh_losses(t, homed);
+    }
   }
 
   result.utility_after = surviving_period_utility(result.schedule, utility, dead);

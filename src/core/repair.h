@@ -34,6 +34,12 @@ class MaskedUtility final : public sub::SubmodularFunction {
 
   std::size_t ground_size() const override { return base_->ground_size(); }
   std::unique_ptr<sub::EvalState> make_state() const override;
+  // The base's relation: a masked element's marginal is always 0, so
+  // listing it too is harmless.
+  std::optional<std::span<const std::size_t>> dependents(
+      std::size_t e, sub::DependentsScratch& scratch) const override {
+    return base_->dependents(e, scratch);
+  }
 
  private:
   std::shared_ptr<const sub::SubmodularFunction> base_;

@@ -13,6 +13,53 @@
 
 namespace cool::core {
 
+namespace {
+
+struct ScanBest {
+  double gain = -1.0;
+  std::size_t index = 0;  // position in `ids`, not a sensor id
+  std::size_t slot = 0;
+};
+
+// The (candidate, slot) argmax over a sample: the maximum of
+// states[t]->marginal(ids[i]) over i < len and every slot t, ties broken on
+// the lowest (i, t) pair — the first maximum of the i-outer/t-inner scan.
+// `fused` comes from sub::resolve_fused(states); `gains` is len doubles of
+// scratch for the unfused fallback. Requires len >= 1.
+ScanBest scan_argmax(const sub::FusedSlotEvaluator& fused,
+                     const std::vector<std::unique_ptr<sub::EvalState>>& states,
+                     const std::size_t* ids, std::size_t len, double* gains) {
+  // Fold the T row winners in slot order: max gain, then lowest index,
+  // then lowest slot. Monotone utilities make every gain >= 0, so the
+  // first row always replaces the -1 sentinel.
+  ScanBest best{-1.0, 0, 0};
+  const auto consider = [&](double gain, std::size_t index, std::size_t t) {
+    if (gain > best.gain || (gain == best.gain && index < best.index))
+      best = ScanBest{gain, index, t};
+  };
+  const std::size_t T = states.size();
+  if (fused) {
+    const sub::EvalState* state_ptrs[sub::FusedSlotEvaluator::kMaxSlots];
+    for (std::size_t t = 0; t < T; ++t) state_ptrs[t] = states[t].get();
+    double row_gain[sub::FusedSlotEvaluator::kMaxSlots];
+    std::size_t row_arg[sub::FusedSlotEvaluator::kMaxSlots];
+    fused.fn(state_ptrs, T, ids, len, row_gain, row_arg);
+    for (std::size_t t = 0; t < T; ++t) consider(row_gain[t], row_arg[t], t);
+    return best;
+  }
+  for (std::size_t t = 0; t < T; ++t) {
+    states[t]->marginal_batch({ids, len}, {gains, len});
+    // Linear first-max scan — the fused kernel's tie-break.
+    std::size_t arg = 0;
+    for (std::size_t i = 1; i < len; ++i)
+      if (gains[i] > gains[arg]) arg = i;
+    consider(gains[arg], arg, t);
+  }
+  return best;
+}
+
+}  // namespace
+
 StochasticGreedyScheduler::StochasticGreedyScheduler(double epsilon)
     : epsilon_(epsilon) {
   if (epsilon <= 0.0 || epsilon >= 1.0)
@@ -54,7 +101,7 @@ GreedyResult StochasticGreedyScheduler::schedule(const Problem& problem,
   // One gain row for the unfused fallback, reused slot by slot.
   double* gains = arena.allocate_array<double>(n);
 
-  // Fused slot-row evaluation, resolved once per call (see greedy.cpp):
+  // Fused slot-row evaluation, resolved once per call:
   // each sampled candidate's coverage row is walked a single time for all
   // T slots, producing bit-identical gains to the per-slot batch path.
   const sub::FusedSlotEvaluator fused = sub::resolve_fused(slot_state);
@@ -76,7 +123,7 @@ GreedyResult StochasticGreedyScheduler::schedule(const Problem& problem,
 
     // Argmax over the sampled candidates; ties break on the lowest (sample
     // position, slot) pair.
-    const detail::ScanBest best = detail::scan_argmax(
+    const ScanBest best = scan_argmax(
         fused, slot_state, pool.data(), sample_size, gains);
     result.oracle_calls += sample_size * T;
     const std::size_t chosen = pool[best.index];

@@ -433,6 +433,22 @@ std::unique_ptr<EvalState> MultiTargetDetectionUtility::make_state() const {
                                           &csr_probs_, &target_weights_);
 }
 
+std::optional<std::span<const std::size_t>>
+MultiTargetDetectionUtility::dependents(std::size_t e,
+                                        DependentsScratch& scratch) const {
+  if (e >= sensor_count_)
+    throw std::out_of_range("MultiTargetDetectionUtility: element");
+  if (scratch.elements() < sensor_count_)
+    throw std::invalid_argument(
+        "MultiTargetDetectionUtility::dependents: scratch too small");
+  scratch.begin();
+  scratch.insert(e);
+  for (std::size_t i = csr_offsets_[e]; i < csr_offsets_[e + 1]; ++i)
+    for (const auto& [sensor, p] : targets_[csr_targets_[i]].detectors)
+      scratch.insert(sensor);
+  return scratch.list();
+}
+
 double MultiTargetDetectionUtility::max_value() const {
   double total = 0.0;
   for (const auto& target : targets_) {

@@ -70,6 +70,13 @@ class MultiTargetDetectionUtility final : public SubmodularFunction {
   std::unique_ptr<EvalState> make_state() const override;
   double max_value() const override;
 
+  // Sensors that share a target with e, e included: a sensor's marginal
+  // reads only the miss products of its own targets, and e's add() (or its
+  // absence) changes only those of e's targets. Walks e's coverage row and
+  // each of its targets' detector lists; no sensor graph is stored.
+  std::optional<std::span<const std::size_t>> dependents(
+      std::size_t e, DependentsScratch& scratch) const override;
+
   const std::vector<Target>& targets() const noexcept { return targets_; }
 
  private:

@@ -18,9 +18,15 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
+
+namespace cool::util {
+class Arena;
+}
 
 namespace cool::sub {
 
@@ -59,7 +65,7 @@ class EvalState {
   virtual std::unique_ptr<EvalState> clone() const = 0;
 };
 
-// Fused slot-row evaluation (DESIGN.md section 15): the greedy-family
+// Fused slot-row evaluation (DESIGN.md section 15): stochastic greedy's
 // argmax scans the same candidate ids against every slot state each round.
 // When all slot states are the same flat-layout concrete type over one
 // shared utility, the whole scan can walk each candidate's coverage row
@@ -84,10 +90,10 @@ struct FusedSlotEvaluator {
   // Folding the argmax into the kernel keeps the per-candidate gains in
   // registers — nothing is spilled to a gains matrix and re-scanned.
   //
-  // Preconditions (the greedy-family schedulers guarantee both; this is a
-  // trusted internal hot path, so they are not re-checked):
+  // Preconditions (the scheduler guarantees both; this is a trusted
+  // internal hot path, so they are not re-checked):
   //   * id_count >= 1 and every id is a valid element index;
-  //   * no id is already a member of ANY state's set (the schedulers scan
+  //   * no id is already a member of ANY state's set (the scheduler scans
   //     unplaced sensors only). marginal() would return 0 for a member, so
   //     violating this yields a gain where 0 is expected.
   using Fn = void (*)(const EvalState* const* states, std::size_t state_count,
@@ -103,6 +109,36 @@ struct FusedSlotEvaluator {
 
 FusedSlotEvaluator resolve_fused(
     const std::vector<std::unique_ptr<EvalState>>& states);
+
+// Scratch for SubmodularFunction::dependents(): a per-element stamp array
+// that deduplicates a list without clearing anything between queries, and
+// the list buffer itself, both carved from a caller's arena and sized to
+// the ground set. Each query overwrites the previous query's list.
+class DependentsScratch {
+ public:
+  DependentsScratch(util::Arena& arena, std::size_t elements);
+
+  std::size_t elements() const noexcept { return elements_; }
+
+  // Starts a new, empty list: advancing the epoch un-stamps every element.
+  void begin() noexcept;
+  // Appends e unless the current list already holds it. e < elements().
+  // Branch-free: the slot past the list is always written, and kept only
+  // for a first sighting (repeats are frequent and unpredictable).
+  void insert(std::size_t e) noexcept {
+    list_[size_] = e;
+    size_ += stamp_[e] != epoch_;
+    stamp_[e] = epoch_;
+  }
+  std::span<const std::size_t> list() const noexcept { return {list_, size_}; }
+
+ private:
+  std::uint32_t* stamp_;
+  std::size_t* list_;
+  std::size_t elements_;
+  std::size_t size_ = 0;
+  std::uint32_t epoch_ = 0;
+};
 
 class SubmodularFunction {
  public:
@@ -120,6 +156,20 @@ class SubmodularFunction {
   // An upper bound on U over the whole ground set: U(V). Used for
   // normalizations and the paper's utility upper bound.
   virtual double max_value() const;
+
+  // The elements whose marginal can change when `e` is added to or removed
+  // from a state, `e` itself included (DESIGN.md section 16). Precisely:
+  // take any sequence of add() calls and insert `e` into it, or delete it
+  // from it, at any position; every element outside the list then has a
+  // bit-identical marginal() in the resulting state. The relation is
+  // symmetric (v is listed for e exactly when e is listed for v), as the
+  // exact second difference U(S+e+v) − U(S+e) − U(S+v) + U(S) is.
+  // Schedulers that cache marginals refresh only these after a placement
+  // or a move. The list lives in `scratch` (sized to ground_size()) until
+  // its next query, in no particular order. nullopt means "every element"
+  // — the default for utilities that do not track the relation.
+  virtual std::optional<std::span<const std::size_t>> dependents(
+      std::size_t e, DependentsScratch& scratch) const;
 };
 
 }  // namespace cool::sub

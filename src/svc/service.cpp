@@ -14,6 +14,7 @@
 #include "obs/obs.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
+#include "util/arena.h"
 #include "util/parallel.h"
 
 namespace cool::svc {
@@ -37,6 +38,17 @@ const char* planner_name(int level) {
 
 const char* plan_span_name(int level) {
   return level == kExact ? "plan.greedy" : "plan.hef";
+}
+
+// Planner scratch arena of the calling worker thread, shared by every
+// session it plans. The schedulers reset() and re-carve it per run, so once
+// a thread has planned its largest session the blocks are warm and every
+// later run is heap-allocation-free. One arena per thread rather than per
+// session keeps the greedy's n·T gain cache (DESIGN.md section 16) from
+// multiplying with the session count.
+util::Arena& worker_arena() {
+  thread_local util::Arena arena;
+  return arena;
 }
 
 void fill_schedule_payload(Response& response,
@@ -351,7 +363,7 @@ void CooldService::execute_plan(Job& job) {
   while (true) {
     core::PlannerContext ctx;
     ctx.scratch_states = &session.scratch_states();
-    ctx.arena = &session.arena();
+    ctx.arena = &worker_arena();
     if (job.use_deadline && level == kExact) ctx.cancel = &token;
     const std::uint64_t span_start =
         config_.obs_enabled ? obs::trace_now_us() : 0;
@@ -896,11 +908,17 @@ void CooldService::restore_from(const WalRecovery& recovery) {
     std::vector<RestoredSession> decoded;
     std::uint64_t clock = 0;
     bool decoded_ok = false;
+    // An integer in [0, hi], or the whole snapshot is damaged: a bare cast
+    // of -1, 1e300, 2.5 or NaN to an integer type is undefined behaviour.
+    const auto integer = [](const obs::JsonValue& number, std::uint64_t hi) {
+      const auto parsed = integer_in_range(number.as_number(), 0, hi);
+      if (!parsed) throw std::runtime_error("bad snapshot integer");
+      return *parsed;
+    };
     try {
       const obs::JsonValue value = obs::parse_json(recovery.snapshot_json);
-      if (value.contains("clock")) {
-        clock = static_cast<std::uint64_t>(value.at("clock").as_number());
-      }
+      if (value.contains("clock"))
+        clock = integer(value.at("clock"), kMaxJsonInteger);
       if (value.contains("sessions")) {
         for (const obs::JsonValue& entry : value.at("sessions").as_array()) {
           RestoredSession session;
@@ -911,20 +929,19 @@ void CooldService::restore_from(const WalRecovery& recovery) {
                                             session.spec.slots_per_period);
             for (const obs::JsonValue& pair : entry.at("assignments").as_array()) {
               const auto& cells = pair.as_array();
-              if (cells.size() != 2)
+              if (cells.size() != 2 || session.spec.sensors == 0 ||
+                  session.spec.slots_per_period == 0)
                 throw std::runtime_error("bad snapshot assignment");
               restored.set_active(
-                  static_cast<std::size_t>(cells[0].as_number()),
-                  static_cast<std::size_t>(cells[1].as_number()));
+                  integer(cells[0], session.spec.sensors - 1),
+                  integer(cells[1], session.spec.slots_per_period - 1));
             }
             session.schedule = std::move(restored);
           }
           if (entry.contains("applied"))
-            session.applied =
-                static_cast<std::size_t>(entry.at("applied").as_number());
+            session.applied = integer(entry.at("applied"), kMaxJsonInteger);
           if (entry.contains("recency"))
-            session.recency =
-                static_cast<std::uint64_t>(entry.at("recency").as_number());
+            session.recency = integer(entry.at("recency"), kMaxJsonInteger);
           decoded.push_back(std::move(session));
         }
       }

@@ -52,9 +52,12 @@ class Session {
     return scratch_;
   }
 
-  // Planner scratch arena: the schedulers reset() and re-carve it per run,
-  // so after the session's first planner call its blocks are warm and every
-  // later run is heap-allocation-free (DESIGN.md section 15).
+  // Planner scratch arena for a caller that plans this session on its own:
+  // the schedulers reset() and re-carve it per run, so after the first
+  // planner call its blocks are warm and every later run is heap-
+  // allocation-free (DESIGN.md section 15). CooldService plans on one arena
+  // per worker thread instead, so this one stays empty there (an Arena
+  // allocates nothing before its first use).
   util::Arena& arena() noexcept { return arena_; }
 
   const std::optional<core::PeriodicSchedule>& schedule() const noexcept {

@@ -482,6 +482,64 @@ TEST_F(SvcServiceTest, PartiallyDecodableSnapshotRestoresNothing) {
   service.stop();
 }
 
+TEST_F(SvcServiceTest, SnapshotIntegersOutOfRangeDamageTheWholeSnapshot) {
+  // One row per integer field restore_from reads. A value that is not an
+  // integer in range (negative, huge, fractional, past the spec's sensor or
+  // slot count) damages the whole snapshot: nothing is restored and its
+  // bytes count as torn, like any other bad snapshot.
+  svc::NetworkSpec spec;
+  spec.sensors = 12;
+  spec.targets = 18;
+  spec.slots_per_period = 4;
+  struct Row {
+    std::string clock = "2", recency = "1", applied = "1", sensor = "3",
+                slot = "1";
+  };
+  const auto snapshot = [&](const Row& row) {
+    return "{\"schema_version\":1,\"lsn\":0,\"clock\":" + row.clock +
+           ",\"sessions\":[{\"network\":\"t1\",\"recency\":" + row.recency +
+           ",\"applied\":" + row.applied + ",\"spec\":" + spec.to_json() +
+           ",\"assignments\":[[" + row.sensor + "," + row.slot + "]]}]}";
+  };
+  {
+    svc::write_snapshot_atomic(dir_, snapshot(Row{}));
+    svc::CooldService service(make_config());
+    EXPECT_EQ(service.resident_sessions(), 1u) << "the unmodified row restores";
+    EXPECT_EQ(service.stats().torn_bytes, 0u);
+  }
+  std::vector<std::pair<std::string, Row>> rows;
+  for (const std::string bad : {"-1", "1e300", "2.5"}) {
+    Row row;
+    row.clock = bad;
+    rows.emplace_back("clock=" + bad, row);
+    row = Row{};
+    row.recency = bad;
+    rows.emplace_back("recency=" + bad, row);
+    row = Row{};
+    row.applied = bad;
+    rows.emplace_back("applied=" + bad, row);
+    row = Row{};
+    row.sensor = bad;
+    rows.emplace_back("sensor=" + bad, row);
+    row = Row{};
+    row.slot = bad;
+    rows.emplace_back("slot=" + bad, row);
+  }
+  Row past_sensors;
+  past_sensors.sensor = "12";
+  rows.emplace_back("sensor=12 of 12", past_sensors);
+  Row past_slots;
+  past_slots.slot = "4";
+  rows.emplace_back("slot=4 of 4", past_slots);
+  for (const auto& [label, row] : rows) {
+    wipe(dir_);
+    svc::write_snapshot_atomic(dir_, snapshot(row));
+    svc::CooldService service(make_config());
+    EXPECT_EQ(service.resident_sessions(), 0u) << label;
+    EXPECT_GT(service.stats().torn_bytes, 0u) << label;
+  }
+}
+
 TEST_F(SvcServiceTest, MalformedFramesAnswerWithoutCrashing) {
   svc::CooldService service(make_config());
   service.start();
