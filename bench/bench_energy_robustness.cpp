@@ -42,11 +42,11 @@
 #include "core/planner.h"
 #include "core/problem.h"
 #include "energy/stochastic.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "net/routing.h"
 #include "obs/analyze/bench_json.h"
 #include "obs/session.h"
-#include "proto/link.h"
 #include "sim/runtime.h"
 #include "util/cli.h"
 #include "util/csv.h"
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   const auto network = cool::net::make_random_network(net_config, rng);
   const cool::net::RoutingTree tree(network,
                                     cool::net::choose_best_sink(network));
-  const cool::proto::LinkModel links(network);
+  const cool::net::LinkModel links(network);
   const cool::net::RadioEnergyModel radio;
 
   // Stochastic supply whose median recovers the paper's sunny 15/45 pattern:

@@ -28,12 +28,12 @@
 
 #include "core/greedy.h"
 #include "core/problem.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "net/routing.h"
 #include "obs/analyze/bench_json.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
-#include "proto/link.h"
 #include "sim/runtime.h"
 #include "sim/simulator.h"
 #include "util/cli.h"
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   const std::size_t slots = days * problem.horizon_slots();
 
   const cool::net::RoutingTree tree(network, cool::net::choose_best_sink(network));
-  const cool::proto::LinkModel links(network);
+  const cool::net::LinkModel links(network);
   const cool::net::RadioEnergyModel radio;
 
   std::ofstream csv_file;
@@ -183,8 +183,9 @@ int main(int argc, char** argv) {
     config.pattern = pattern;
     config.slots_per_day = problem.horizon_slots();
     config.days = days;
-    config.failure_rate_per_slot = rate;
-    config.repair_slots = 8;
+    config.faults.kind = cool::sim::FaultKind::kTransient;
+    config.faults.failure_rate_per_slot = rate;
+    config.faults.repair_slots = 8;
 
     cool::sim::SchedulePolicy offline(schedule);
     cool::sim::Simulator sim_a(utility, config, cool::util::Rng(seed + 1));

@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
                            "col-frac"});
   const auto slot_utility = problem.slot_utility_ptr();
   for (const double loss : {0.0, 0.1, 0.2, 0.35, 0.5}) {
-    cool::proto::LinkModelConfig link_config;
+    cool::net::LinkModelConfig link_config;
     link_config.global_loss = loss;
-    const cool::proto::LinkModel links(network, link_config);
+    const cool::net::LinkModel links(network, link_config);
     const cool::proto::ScheduleDissemination proto(network, tree, links, radio);
     cool::util::Rng run_rng(seed + 100);
     const auto report = proto.disseminate(schedule, run_rng);

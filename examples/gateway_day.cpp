@@ -83,9 +83,9 @@ int main(int argc, char** argv) try {
               "%.4f/slot\n", periods, ideal.per_slot_average);
 
   // --- 4. dissemination ---
-  cool::proto::LinkModelConfig link_config;
+  cool::net::LinkModelConfig link_config;
   link_config.global_loss = 0.15;
-  const cool::proto::LinkModel links(network, link_config);
+  const cool::net::LinkModel links(network, link_config);
   const cool::net::RadioEnergyModel radio;
   const cool::proto::ScheduleDissemination dissemination(network, tree, links,
                                                          radio);
@@ -112,7 +112,8 @@ int main(int argc, char** argv) try {
   sim_config.slot_minutes = pattern.slot_minutes();
   sim_config.pattern = pattern;
   sim_config.initial_weather = today;
-  sim_config.failure_rate_per_slot = 0.01;
+  sim_config.faults.kind = cool::sim::FaultKind::kTransient;
+  sim_config.faults.failure_rate_per_slot = 0.01;
   cool::sim::SchedulePolicy policy(effective);
   cool::sim::Simulator simulator(problem.slot_utility_ptr(), sim_config,
                                  cool::util::Rng(seed + 3));

@@ -71,6 +71,7 @@ CollectionScheduleReport DataCollection::schedule_report(
           slot.node_energy_j[v] * static_cast<double>(periods);
   }
   report.slots = period_masks.size() * periods;
+  // Same tie rule and kNoNode init as bottleneck_node in slot_report().
   for (std::size_t v = 0; v < report.node_energy_j.size(); ++v) {
     if (report.node_energy_j[v] > report.hottest_node_energy_j) {
       report.hottest_node_energy_j = report.node_energy_j[v];

@@ -6,8 +6,7 @@
 // packet reception curves, reduced to a two-parameter model.
 //
 // Lives in net (next to the radio energy model and the routing tree) so the
-// collection data plane can sample links without a layering cycle; the
-// protocol layer re-exports it as proto::LinkModel for existing callers.
+// collection data plane can sample links without a layering cycle.
 #pragma once
 
 #include <cstddef>

@@ -10,7 +10,7 @@ namespace cool::proto {
 
 DeltaDisseminator::DeltaDisseminator(const net::Network& network,
                                      const net::RoutingTree& tree,
-                                     const LinkModel& links,
+                                     const net::LinkModel& links,
                                      const net::RadioEnergyModel& radio,
                                      DeltaDisseminationConfig config)
     : tree_(&tree), links_(&links), radio_(&radio), config_(config),
@@ -113,7 +113,7 @@ DeltaSlotReport DeltaDisseminator::step(std::size_t slot,
 
 ScheduleDissemination::ScheduleDissemination(const net::Network& network,
                                              const net::RoutingTree& tree,
-                                             const LinkModel& links,
+                                             const net::LinkModel& links,
                                              const net::RadioEnergyModel& radio,
                                              DisseminationConfig config)
     : network_(&network), tree_(&tree), links_(&links), radio_(&radio),

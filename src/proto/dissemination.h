@@ -12,11 +12,11 @@
 #include <vector>
 
 #include "core/schedule.h"
+#include "net/backoff.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "net/radio.h"
 #include "net/routing.h"
-#include "proto/backoff.h"
-#include "proto/link.h"
 #include "util/rng.h"
 
 namespace cool::proto {
@@ -55,8 +55,8 @@ struct DeltaDisseminationConfig {
   std::size_t max_attempts = 0;        // per update; 0 = keep trying forever
 
   // The equivalent shared policy (net/backoff.h) the disseminator runs on.
-  BackoffConfig backoff_policy() const {
-    BackoffConfig policy;
+  net::BackoffConfig backoff_policy() const {
+    net::BackoffConfig policy;
     policy.base_slots = backoff_base_slots;
     policy.factor = backoff_factor;
     policy.max_slots = max_backoff_slots;
@@ -89,7 +89,8 @@ class DeltaDisseminator {
  public:
   // All referenced objects must outlive the disseminator.
   DeltaDisseminator(const net::Network& network, const net::RoutingTree& tree,
-                    const LinkModel& links, const net::RadioEnergyModel& radio,
+                    const net::LinkModel& links,
+                    const net::RadioEnergyModel& radio,
                     DeltaDisseminationConfig config = {});
 
   // Queues (or re-arms, if already pending) an assignment update for `node`,
@@ -113,10 +114,10 @@ class DeltaDisseminator {
                util::Rng& rng, DeltaSlotReport& report) const;
 
   const net::RoutingTree* tree_;
-  const LinkModel* links_;
+  const net::LinkModel* links_;
   const net::RadioEnergyModel* radio_;
   DeltaDisseminationConfig config_;
-  BackoffPolicy backoff_;
+  net::BackoffPolicy backoff_;
   std::vector<std::uint8_t> pending_;
   std::vector<std::size_t> next_attempt_slot_;
   std::vector<std::size_t> failures_;  // consecutive failures per update
@@ -127,7 +128,8 @@ class DeltaDisseminator {
 class ScheduleDissemination {
  public:
   ScheduleDissemination(const net::Network& network, const net::RoutingTree& tree,
-                        const LinkModel& links, const net::RadioEnergyModel& radio,
+                        const net::LinkModel& links,
+                        const net::RadioEnergyModel& radio,
                         DisseminationConfig config = {});
 
   // Pushes each targeted node's assignment from the sink along the tree
@@ -148,7 +150,7 @@ class ScheduleDissemination {
 
   const net::Network* network_;
   const net::RoutingTree* tree_;
-  const LinkModel* links_;
+  const net::LinkModel* links_;
   const net::RadioEnergyModel* radio_;
   DisseminationConfig config_;
 };

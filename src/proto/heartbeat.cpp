@@ -7,7 +7,7 @@ namespace cool::proto {
 
 HeartbeatDetector::HeartbeatDetector(const net::Network& network,
                                      const net::RoutingTree& tree,
-                                     const LinkModel& links,
+                                     const net::LinkModel& links,
                                      const net::RadioEnergyModel& radio,
                                      const HeartbeatConfig& config)
     : tree_(&tree), links_(&links), radio_(&radio),

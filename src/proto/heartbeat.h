@@ -22,10 +22,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/link.h"
 #include "net/network.h"
 #include "net/radio.h"
 #include "net/routing.h"
-#include "proto/link.h"
 #include "util/rng.h"
 
 namespace cool::proto {
@@ -62,7 +62,8 @@ class HeartbeatDetector {
  public:
   // All referenced objects must outlive the detector.
   HeartbeatDetector(const net::Network& network, const net::RoutingTree& tree,
-                    const LinkModel& links, const net::RadioEnergyModel& radio,
+                    const net::LinkModel& links,
+                    const net::RadioEnergyModel& radio,
                     const HeartbeatConfig& config = {});
 
   // One slot of the protocol: origination + forwarding by nodes marked up,
@@ -84,7 +85,7 @@ class HeartbeatDetector {
                          util::Rng& rng, HeartbeatSlotReport& report);
 
   const net::RoutingTree* tree_;
-  const LinkModel* links_;
+  const net::LinkModel* links_;
   const net::RadioEnergyModel* radio_;
   HeartbeatConfig config_;
   std::vector<NodeVerdict> verdict_;

@@ -66,7 +66,7 @@ CampaignReport CampaignRunner::run() const {
 
   // Dissemination fixtures (built once; links are static).
   std::optional<net::RoutingTree> tree;
-  std::optional<proto::LinkModel> links;
+  std::optional<net::LinkModel> links;
   const net::RadioEnergyModel radio;
   if (config_.dissemination) {
     tree.emplace(*network_, net::choose_best_sink(*network_));
@@ -107,8 +107,12 @@ CampaignReport CampaignRunner::run() const {
       sim_config.slot_minutes = plan.pattern.slot_minutes();
       sim_config.pattern = plan.pattern;
       sim_config.initial_weather = plan.weather;
-      sim_config.failure_rate_per_slot = config_.failure_rate_per_slot;
-      sim_config.repair_slots = config_.repair_slots;
+      // A positive rate runs the transient model; the rate is copied either
+      // way so the simulator rejects one outside [0, 1].
+      if (config_.failure_rate_per_slot > 0.0)
+        sim_config.faults.kind = FaultKind::kTransient;
+      sim_config.faults.failure_rate_per_slot = config_.failure_rate_per_slot;
+      sim_config.faults.repair_slots = config_.repair_slots;
 
       std::unique_ptr<ActivationPolicy> policy;
       if (config_.repair_policy) {

@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "core/planner.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "proto/dissemination.h"
-#include "proto/link.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -26,11 +26,12 @@ struct CampaignConfig {
   std::size_t days = 30;
   double working_minutes = 720.0;
   EnergyBackend backend = EnergyBackend::kNormalized;
+  // Transient faults (sim/faults.h) when the rate is positive.
   double failure_rate_per_slot = 0.0;
   std::size_t repair_slots = 4;
   // When set, schedules are disseminated over lossy links before running
   // and undelivered nodes stay passive.
-  std::optional<proto::LinkModelConfig> dissemination;
+  std::optional<net::LinkModelConfig> dissemination;
   // Use the schedule-repair policy instead of the rigid follower.
   bool repair_policy = false;
   energy::Weather initial_weather = energy::Weather::kSunny;

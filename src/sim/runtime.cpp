@@ -102,7 +102,7 @@ void validate_energy_uncertainty_config(const EnergyUncertaintyConfig& config,
 ResilientRuntime::ResilientRuntime(
     std::shared_ptr<const sub::SubmodularFunction> utility,
     const net::Network& network, const net::RoutingTree& tree,
-    const proto::LinkModel& links, const net::RadioEnergyModel& radio,
+    const net::LinkModel& links, const net::RadioEnergyModel& radio,
     core::PeriodicSchedule schedule, const RuntimeConfig& config, util::Rng rng)
     : utility_(std::move(utility)), network_(&network), tree_(&tree),
       links_(&links), radio_(&radio), initial_(std::move(schedule)),

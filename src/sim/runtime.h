@@ -39,6 +39,7 @@
 #include "core/schedule.h"
 #include "energy/estimator.h"
 #include "energy/pattern.h"
+#include "net/link.h"
 #include "net/lossy_collection.h"
 #include "net/network.h"
 #include "net/radio.h"
@@ -46,7 +47,6 @@
 #include "obs/timeline.h"
 #include "proto/dissemination.h"
 #include "proto/heartbeat.h"
-#include "proto/link.h"
 #include "sim/faults.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -223,7 +223,7 @@ class ResilientRuntime {
   // referenced network objects must outlive the runtime.
   ResilientRuntime(std::shared_ptr<const sub::SubmodularFunction> utility,
                    const net::Network& network, const net::RoutingTree& tree,
-                   const proto::LinkModel& links,
+                   const net::LinkModel& links,
                    const net::RadioEnergyModel& radio,
                    core::PeriodicSchedule schedule, const RuntimeConfig& config,
                    util::Rng rng);
@@ -234,7 +234,7 @@ class ResilientRuntime {
   std::shared_ptr<const sub::SubmodularFunction> utility_;
   const net::Network* network_;
   const net::RoutingTree* tree_;
-  const proto::LinkModel* links_;
+  const net::LinkModel* links_;
   const net::RadioEnergyModel* radio_;
   core::PeriodicSchedule initial_;
   RuntimeConfig config_;

@@ -56,12 +56,6 @@ struct SimConfig {
   // battery wearout, or trace replay. Down nodes cannot be activated and
   // produce no coverage.
   FaultModelConfig faults;
-  // Legacy aliases for the transient model: when `faults.kind` is kNone and
-  // this rate is positive, the simulator behaves exactly as the seed did —
-  // independent per-slot failures lasting `repair_slots` slots (0 is treated
-  // as a one-slot outage).
-  double failure_rate_per_slot = 0.0;
-  std::size_t repair_slots = 4;
   // Record every node's state of charge at each slot start (for debugging
   // and energy plots); costs O(nodes x slots) memory.
   bool record_soc = false;
@@ -96,10 +90,6 @@ class Simulator {
             const SimConfig& config, util::Rng rng);
 
   SimReport run(ActivationPolicy& policy);
-
-  // The fault configuration the run will actually use: `faults` when set,
-  // else the legacy transient aliases lifted into a FaultModelConfig.
-  static FaultModelConfig effective_faults(const SimConfig& config);
 
  private:
   std::shared_ptr<const sub::SubmodularFunction> utility_;

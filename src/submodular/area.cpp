@@ -6,9 +6,8 @@ namespace cool::sub {
 
 namespace {
 
-// Identical mechanics to WeightedCoverage, but items are arrangement faces
-// and weights are w_i · |A_i|; kept separate so face bookkeeping stays next
-// to the geometric definition.
+// Weighted coverage of arrangement faces: a face of weight w_i · |A_i|
+// counts once, when the first sensor whose disk contains it is added.
 class AreaState final : public EvalState {
  public:
   AreaState(const std::vector<std::vector<std::size_t>>* faces_of,

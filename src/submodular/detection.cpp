@@ -1,14 +1,15 @@
 #include "submodular/detection.h"
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
 
-#include "submodular/kernel.h"
-
 namespace cool::sub {
 
 namespace {
+
+std::atomic<MarginalKernel> g_kernel{MarginalKernel::kAuto};
 
 class SingleState final : public EvalState {
  public:
@@ -329,6 +330,14 @@ void validate_probability(double p) {
 
 }  // namespace
 
+void set_marginal_kernel(MarginalKernel kernel) noexcept {
+  g_kernel.store(kernel, std::memory_order_relaxed);
+}
+
+MarginalKernel marginal_kernel() noexcept {
+  return g_kernel.load(std::memory_order_relaxed);
+}
+
 FusedSlotEvaluator resolve_fused(
     const std::vector<std::unique_ptr<EvalState>>& states) {
   if (states.empty() || states.size() > FusedSlotEvaluator::kMaxSlots)
@@ -425,8 +434,8 @@ MultiTargetDetectionUtility MultiTargetDetectionUtility::uniform(
 }
 
 std::unique_ptr<EvalState> MultiTargetDetectionUtility::make_state() const {
-  // Layout change only — the fast state's arithmetic is bit-identical for
-  // every kernel setting, so only an explicit kScalar forces the reference.
+  // Layout change only — the fast state's arithmetic is bit-identical to
+  // the reference's, which only an explicit kScalar selects.
   if (marginal_kernel() == MarginalKernel::kScalar)
     return std::make_unique<MultiState>(&targets_, &by_sensor_);
   return std::make_unique<FastMultiState>(&csr_offsets_, &csr_targets_,

@@ -13,6 +13,20 @@
 
 namespace cool::sub {
 
+// Which MultiTargetDetectionUtility state make_state() builds (DESIGN.md
+// section 15): kAuto the cache-linear fast path, kScalar the retained
+// reference. set_marginal_kernel() is a global test hook for the
+// differential suites; it is not meant to be flipped concurrently with
+// make_state() calls.
+enum class MarginalKernel {
+  kAuto = 0,  // the fast path
+  kScalar,    // the retained reference implementation
+};
+
+// Global kernel override (default kAuto). Consulted by make_state().
+void set_marginal_kernel(MarginalKernel kernel) noexcept;
+MarginalKernel marginal_kernel() noexcept;
+
 // Single-target detection utility: element j detects with probability p[j]
 // (p[j] = 0 models "sensor j does not cover this target").
 class DetectionUtility final : public SubmodularFunction {

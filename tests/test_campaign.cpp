@@ -80,7 +80,7 @@ TEST(Campaign, DisseminationLossReflectedInReport) {
   Fixture f;
   CampaignConfig config;
   config.days = 3;
-  proto::LinkModelConfig lossy;
+  net::LinkModelConfig lossy;
   lossy.global_loss = 0.3;
   config.dissemination = lossy;
   CampaignRunner runner(f.network, f.utility, config, util::Rng(5));
@@ -137,6 +137,17 @@ TEST(Campaign, Validation) {
   config.days = 1;
   EXPECT_THROW(CampaignRunner(f.network, wrong, config, util::Rng(8)),
                std::invalid_argument);
+}
+
+TEST(Campaign, FailureRateOutsideUnitIntervalThrows) {
+  Fixture f;
+  CampaignConfig config;
+  config.days = 1;
+  for (const double rate : {-0.1, 1.5}) {
+    config.failure_rate_per_slot = rate;
+    const CampaignRunner runner(f.network, f.utility, config, util::Rng(9));
+    EXPECT_THROW(runner.run(), std::invalid_argument) << "rate " << rate;
+  }
 }
 
 }  // namespace

@@ -97,6 +97,16 @@ TEST_F(DataCollectionTest, HottestNodeIsTheRelayHub) {
   EXPECT_EQ(report.hottest_node, 1u);
 }
 
+TEST_F(DataCollectionTest, EnergyFreeScheduleHasNoHottestNode) {
+  // No listen time and nobody active: no node spends energy, so there is
+  // no hottest node to name.
+  const DataCollection silent(network_, tree_, radio_, /*idle_listen_s=*/0.0);
+  const auto report =
+      silent.schedule_report({std::vector<std::uint8_t>(5, 0)}, 3);
+  EXPECT_DOUBLE_EQ(report.hottest_node_energy_j, 0.0);
+  EXPECT_EQ(report.hottest_node, CollectionSlotReport::kNoNode);
+}
+
 TEST_F(DataCollectionTest, RelayFreeSlotHasNoBottleneck) {
   // Node 1 is one hop from the sink: nothing forwards, so there is no
   // bottleneck to name (the old code pinned node 0 here).

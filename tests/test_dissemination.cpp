@@ -27,17 +27,17 @@ core::PeriodicSchedule everyone_schedule(std::size_t n, std::size_t T) {
 }
 
 struct Fixture {
-  Fixture(const LinkModelConfig& link_config = {})
+  Fixture(const net::LinkModelConfig& link_config = {})
       : network(chain_network()), tree(network, 0),
         links(network, link_config), radio() {}
   net::Network network;
   net::RoutingTree tree;
-  LinkModel links;
+  net::LinkModel links;
   net::RadioEnergyModel radio;
 };
 
 TEST(Dissemination, PerfectLinksDeliverEveryReachableNode) {
-  LinkModelConfig perfect;
+  net::LinkModelConfig perfect;
   perfect.near_delivery = 1.0;
   perfect.edge_delivery = 1.0;
   Fixture f(perfect);
@@ -57,7 +57,7 @@ TEST(Dissemination, PerfectLinksDeliverEveryReachableNode) {
 }
 
 TEST(Dissemination, SinkDeliversToItselfForFree) {
-  LinkModelConfig perfect;
+  net::LinkModelConfig perfect;
   perfect.near_delivery = 1.0;
   perfect.edge_delivery = 1.0;
   Fixture f(perfect);
@@ -72,7 +72,7 @@ TEST(Dissemination, SinkDeliversToItselfForFree) {
 }
 
 TEST(Dissemination, LossyLinksCostRetransmissions) {
-  LinkModelConfig lossy;
+  net::LinkModelConfig lossy;
   lossy.global_loss = 0.4;
   Fixture f(lossy);
   const ScheduleDissemination proto(f.network, f.tree, f.links, f.radio);
@@ -84,7 +84,7 @@ TEST(Dissemination, LossyLinksCostRetransmissions) {
 }
 
 TEST(Dissemination, ZeroRetransmissionsDropNodesUnderHeavyLoss) {
-  LinkModelConfig lossy;
+  net::LinkModelConfig lossy;
   lossy.global_loss = 0.6;
   Fixture f(lossy);
   DisseminationConfig config;
@@ -118,7 +118,7 @@ TEST(Dissemination, EffectiveScheduleSilencesUndelivered) {
 
 TEST(Dissemination, UtilityDegradesWithLoss) {
   // End-to-end: loss -> fewer delivered assignments -> lower utility.
-  LinkModelConfig heavy;
+  net::LinkModelConfig heavy;
   heavy.global_loss = 0.55;
   Fixture clean_f, lossy_f(heavy);
   DisseminationConfig one_try;

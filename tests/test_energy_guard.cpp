@@ -8,9 +8,9 @@
 #include "core/greedy.h"
 #include "core/planner.h"
 #include "core/problem.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "net/routing.h"
-#include "proto/link.h"
 #include "sim/runtime.h"
 #include "util/rng.h"
 
@@ -24,7 +24,7 @@ constexpr std::uint64_t kSeed = 33;
 struct Testbed {
   std::shared_ptr<net::Network> network;
   std::shared_ptr<net::RoutingTree> tree;
-  std::shared_ptr<proto::LinkModel> links;
+  std::shared_ptr<net::LinkModel> links;
   net::RadioEnergyModel radio;
   energy::ChargingPattern pattern;
   std::shared_ptr<const sub::SubmodularFunction> utility;
@@ -47,7 +47,7 @@ struct Testbed {
     bed.utility = problem.slot_utility_ptr();
     bed.tree = std::make_shared<net::RoutingTree>(
         *bed.network, net::choose_best_sink(*bed.network));
-    bed.links = std::make_shared<proto::LinkModel>(*bed.network);
+    bed.links = std::make_shared<net::LinkModel>(*bed.network);
     return bed;
   }
 

@@ -16,7 +16,6 @@
 #include "core/stochastic_greedy.h"
 #include "submodular/detection.h"
 #include "submodular/function.h"
-#include "submodular/kernel.h"
 #include "util/rng.h"
 
 namespace cool::core {
@@ -67,13 +66,9 @@ TEST(FusedScan, GreedyScheduleIdenticalAcrossKernels) {
     const Problem problem(random_utility(26, 12, seed), 4, 3, true);
     sub::set_marginal_kernel(sub::MarginalKernel::kScalar);
     const auto reference = GreedyScheduler().schedule(problem);
-    for (const auto kernel :
-         {sub::MarginalKernel::kAuto, sub::MarginalKernel::kLadder,
-          sub::MarginalKernel::kSimd}) {
-      sub::set_marginal_kernel(kernel);
-      const auto fast = GreedyScheduler().schedule(problem);
-      expect_same_result(reference, fast, "greedy");
-    }
+    sub::set_marginal_kernel(sub::MarginalKernel::kAuto);
+    const auto fast = GreedyScheduler().schedule(problem);
+    expect_same_result(reference, fast, "greedy");
   }
 }
 
@@ -84,14 +79,10 @@ TEST(FusedScan, StochasticGreedyScheduleIdenticalAcrossKernels) {
   sub::set_marginal_kernel(sub::MarginalKernel::kScalar);
   util::Rng reference_rng(1234);
   const auto reference = scheduler.schedule(problem, reference_rng);
-  for (const auto kernel :
-       {sub::MarginalKernel::kAuto, sub::MarginalKernel::kLadder,
-        sub::MarginalKernel::kSimd}) {
-    sub::set_marginal_kernel(kernel);
-    util::Rng rng(1234);
-    const auto fast = scheduler.schedule(problem, rng);
-    expect_same_result(reference, fast, "stochastic");
-  }
+  sub::set_marginal_kernel(sub::MarginalKernel::kAuto);
+  util::Rng rng(1234);
+  const auto fast = scheduler.schedule(problem, rng);
+  expect_same_result(reference, fast, "stochastic");
 }
 
 TEST(FusedScan, ResolveFusedRequiresFastStatesOverOneUtility) {

@@ -1,20 +1,20 @@
-#include "proto/link.h"
+#include "net/link.h"
 
 #include <gtest/gtest.h>
 
-namespace cool::proto {
+namespace cool::net {
 namespace {
 
 // Nodes at distances 2 (near), 9 (edge-ish) and 30 (out of range) from node 0,
 // comm radius 10.
-net::Network line_network() {
-  std::vector<net::Sensor> sensors{
+Network line_network() {
+  std::vector<Sensor> sensors{
       {0, {0.0, 0.0}, 5.0, 10.0},
       {0, {2.0, 0.0}, 5.0, 10.0},
       {0, {9.0, 0.0}, 5.0, 10.0},
       {0, {30.0, 0.0}, 5.0, 10.0},
   };
-  return net::Network(std::move(sensors), {}, geom::Rect({0, 0}, {40, 10}));
+  return Network(std::move(sensors), {}, geom::Rect({0, 0}, {40, 10}));
 }
 
 TEST(LinkModel, NearLinksDeliverAtNearProbability) {
@@ -82,4 +82,4 @@ TEST(LinkModel, Validation) {
 }
 
 }  // namespace
-}  // namespace cool::proto
+}  // namespace cool::net

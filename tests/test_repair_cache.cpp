@@ -15,7 +15,6 @@
 #include "core/greedy.h"
 #include "core/repair.h"
 #include "submodular/detection.h"
-#include "submodular/kernel.h"
 #include "svc/session.h"
 #include "util/arena.h"
 #include "util/rng.h"

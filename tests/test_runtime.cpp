@@ -47,7 +47,7 @@ RuntimeConfig crash_stop_config(std::size_t slots, double death_rate) {
 TEST(ResilientRuntime, FaultFreeMatchesThePlan) {
   auto scenario = bench_scenario(16, 1);
   const net::RoutingTree tree(scenario.network, net::choose_best_sink(scenario.network));
-  const proto::LinkModel links(scenario.network);
+  const net::LinkModel links(scenario.network);
   const net::RadioEnergyModel radio;
   ResilientRuntime runtime(scenario.utility, scenario.network, tree, links,
                            radio, scenario.schedule,
@@ -75,7 +75,7 @@ TEST(ResilientRuntime, ClosedLoopBeatsStaticScheduleUnderCrashStop) {
   const std::uint64_t seed = 7;
   auto scenario = bench_scenario(n, seed, 12, 25.0, 70.0);
   const net::RoutingTree tree(scenario.network, net::choose_best_sink(scenario.network));
-  const proto::LinkModel links(scenario.network);
+  const net::LinkModel links(scenario.network);
   const net::RadioEnergyModel radio;
 
   auto config = crash_stop_config(480, 0.0007);
@@ -119,7 +119,7 @@ TEST(ResilientRuntime, ClosedLoopBeatsStaticScheduleUnderCrashStop) {
 TEST(ResilientRuntime, WearoutKillsActiveNodesEventually) {
   auto scenario = bench_scenario(20, 3);
   const net::RoutingTree tree(scenario.network, net::choose_best_sink(scenario.network));
-  const proto::LinkModel links(scenario.network);
+  const net::LinkModel links(scenario.network);
   const net::RadioEnergyModel radio;
   RuntimeConfig config;
   config.slots = 480;
@@ -139,9 +139,9 @@ TEST(ResilientRuntime, DeliveredCoverageAccountsForTheLossyDataPlane) {
   auto scenario = bench_scenario(24, 9, 12, 30.0, 45.0);
   const net::RoutingTree tree(scenario.network,
                               net::choose_best_sink(scenario.network));
-  proto::LinkModelConfig link_config;
+  net::LinkModelConfig link_config;
   link_config.global_loss = 0.25;
-  const proto::LinkModel links(scenario.network, link_config);
+  const net::LinkModel links(scenario.network, link_config);
   const net::RadioEnergyModel radio;
   auto config = crash_stop_config(96, 0.0);
   config.collect = true;
@@ -172,7 +172,7 @@ TEST(ResilientRuntime, CollectOffLeavesDeliveredFractionAtOne) {
   auto scenario = bench_scenario(16, 1);
   const net::RoutingTree tree(scenario.network,
                               net::choose_best_sink(scenario.network));
-  const proto::LinkModel links(scenario.network);
+  const net::LinkModel links(scenario.network);
   const net::RadioEnergyModel radio;
   ResilientRuntime runtime(scenario.utility, scenario.network, tree, links,
                            radio, scenario.schedule,
@@ -190,9 +190,9 @@ TEST(ResilientRuntime, DeliveredCoverageIdenticalAcrossThreadCounts) {
   auto scenario = bench_scenario(24, 9, 12, 30.0, 45.0);
   const net::RoutingTree tree(scenario.network,
                               net::choose_best_sink(scenario.network));
-  proto::LinkModelConfig link_config;
+  net::LinkModelConfig link_config;
   link_config.global_loss = 0.3;
-  const proto::LinkModel links(scenario.network, link_config);
+  const net::LinkModel links(scenario.network, link_config);
   const net::RadioEnergyModel radio;
   auto config = crash_stop_config(96, 0.002);  // faults + repairs in the loop
   config.collect = true;
@@ -236,7 +236,7 @@ TEST(ResilientRuntime, DeliveredCoverageIdenticalAcrossThreadCounts) {
 TEST(ResilientRuntime, Validation) {
   auto scenario = bench_scenario(8, 5);
   const net::RoutingTree tree(scenario.network, 0);
-  const proto::LinkModel links(scenario.network);
+  const net::LinkModel links(scenario.network);
   const net::RadioEnergyModel radio;
   EXPECT_THROW(ResilientRuntime(nullptr, scenario.network, tree, links, radio,
                                 scenario.schedule, crash_stop_config(10, 0.0),

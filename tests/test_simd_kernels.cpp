@@ -1,18 +1,15 @@
-// Differential property tests for the marginal-kernel ladder (DESIGN.md
-// section 15): every kernel — retained scalar reference, unrolled popcount
-// ladder, explicit SIMD — must produce bit-for-bit identical results over
-// randomized instances, through marginal(), marginal_batch(), add() and
-// value(), for both packed-bitset coverage and the detection utility. The
+// Differential property tests for the detection utility's two kernels
+// (DESIGN.md section 15): the cache-linear fast path (kAuto) must produce
+// bit-for-bit the retained scalar reference's results over randomized
+// instances, through marginal(), marginal_batch(), add() and value(). The
 // determinism contract of the whole planner stack rests on this suite.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "submodular/coverage.h"
 #include "submodular/detection.h"
 #include "submodular/function.h"
-#include "submodular/kernel.h"
 #include "util/rng.h"
 
 namespace cool::sub {
@@ -29,9 +26,8 @@ class KernelGuard {
   MarginalKernel saved_;
 };
 
-const std::vector<MarginalKernel> kAllKernels{
-    MarginalKernel::kScalar, MarginalKernel::kLadder, MarginalKernel::kSimd,
-    MarginalKernel::kAuto};
+const std::vector<MarginalKernel> kAllKernels{MarginalKernel::kScalar,
+                                              MarginalKernel::kAuto};
 
 // Drives one state through a deterministic schedule-like workload and
 // records every observable double: batched gains over all elements, scalar
@@ -83,10 +79,10 @@ void expect_kernels_interchangeable(const SubmodularFunction& fn,
   }
 }
 
+// Duplicate-free random lists: covers[g] draws up to `items` item ids.
 std::vector<std::vector<std::size_t>> random_covers(std::size_t ground,
                                                     std::size_t items,
-                                                    util::Rng& rng,
-                                                    bool allow_duplicates) {
+                                                    util::Rng& rng) {
   std::vector<std::vector<std::size_t>> covers(ground);
   for (auto& list : covers) {
     const auto fan = static_cast<std::size_t>(
@@ -95,89 +91,12 @@ std::vector<std::vector<std::size_t>> random_covers(std::size_t ground,
     for (std::size_t k = 0; k < fan; ++k) {
       const auto item = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(items) - 1));
-      if (!allow_duplicates) {
-        if (used[item]) continue;
-        used[item] = 1;
-      }
+      if (used[item]) continue;
+      used[item] = 1;
       list.push_back(item);
     }
   }
   return covers;
-}
-
-TEST(MarginalKernel, CountPendingVariantsAgree) {
-  util::Rng rng(2024);
-  // Sizes straddle the unrolled ladder's 4-word stride, the AVX2 path's
-  // 256-bit stride, and both tails (0 included).
-  for (const std::size_t words :
-       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 16u, 31u, 64u, 100u}) {
-    std::vector<std::uint64_t> row(words ? words : 1);
-    std::vector<std::uint64_t> covered(words ? words : 1);
-    for (std::size_t trial = 0; trial < 16; ++trial) {
-      for (std::size_t w = 0; w < words; ++w) {
-        row[w] = rng.next();
-        // Mix dense, sparse, and fully-covered words.
-        covered[w] = (trial % 3 == 0) ? ~std::uint64_t{0}
-                     : (trial % 3 == 1) ? rng.next()
-                                        : (rng.next() & rng.next());
-      }
-      const std::size_t scalar =
-          count_pending_scalar(row.data(), covered.data(), words);
-      EXPECT_EQ(count_pending_ladder(row.data(), covered.data(), words),
-                scalar)
-          << "words=" << words << " trial=" << trial;
-      EXPECT_EQ(count_pending_simd(row.data(), covered.data(), words), scalar)
-          << "words=" << words << " trial=" << trial;
-    }
-  }
-}
-
-TEST(MarginalKernel, ResolvedFastKernelMatchesAvailability) {
-  EXPECT_EQ(resolved_fast_kernel(), simd_kernel_available()
-                                        ? MarginalKernel::kSimd
-                                        : MarginalKernel::kLadder);
-  // Every enum value must map to a callable counter.
-  for (const MarginalKernel kernel : kAllKernels) {
-    const std::uint64_t row = 0xf0f0f0f0f0f0f0f0ull, covered = 0xff00ff00ff00ff00ull;
-    EXPECT_EQ(count_pending_fn(kernel)(&row, &covered, 1),
-              count_pending_scalar(&row, &covered, 1));
-  }
-}
-
-TEST(MarginalKernel, WeightedCoverageUnitWeightsDifferential) {
-  // Unit weights, duplicate-free: the popcount rows must be built and all
-  // kernels bit-identical over randomized CSR instances.
-  for (const std::uint64_t seed : {1ull, 7ull, 99ull, 12345ull}) {
-    util::Rng rng(seed);
-    const std::size_t ground = 5 + seed % 23;
-    const std::size_t items = 1 + seed % 150;  // crosses the 64-bit word edge
-    WeightedCoverage fn(ground, random_covers(ground, items, rng, false),
-                        items);
-    EXPECT_TRUE(fn.popcount_rows_built()) << "seed " << seed;
-    expect_kernels_interchangeable(fn, seed);
-  }
-}
-
-TEST(MarginalKernel, WeightedCoverageDuplicateItemsStayOnReference) {
-  // An element listing an item twice double-counts it in the reference
-  // marginal(); a bitmask cannot reproduce that, so the rows must not be
-  // built and every kernel setting must fall back to the same reference.
-  WeightedCoverage fn(3, {{0, 1, 1}, {2}, {0, 2}}, std::size_t{3});
-  EXPECT_FALSE(fn.popcount_rows_built());
-  expect_kernels_interchangeable(fn, 5);
-}
-
-TEST(MarginalKernel, WeightedCoverageNonUnitWeightsStayOnReference) {
-  for (const std::uint64_t seed : {3ull, 42ull}) {
-    util::Rng rng(seed);
-    const std::size_t ground = 8, items = 40;
-    std::vector<double> weights(items);
-    for (auto& w : weights) w = rng.uniform(0.1, 5.0);
-    WeightedCoverage fn(ground, random_covers(ground, items, rng, true),
-                        weights);
-    EXPECT_FALSE(fn.popcount_rows_built());
-    expect_kernels_interchangeable(fn, seed);
-  }
 }
 
 TEST(MarginalKernel, MultiTargetDetectionDifferentialUniform) {
@@ -189,7 +108,7 @@ TEST(MarginalKernel, MultiTargetDetectionDifferentialUniform) {
     const std::size_t sensors = 6 + seed % 20;
     const std::size_t targets = 3 + seed % 11;
     // covers[i] = sensors covering target i (duplicate-free).
-    const auto covers = random_covers(targets, sensors, rng, false);
+    const auto covers = random_covers(targets, sensors, rng);
     const auto fn =
         MultiTargetDetectionUtility::uniform(sensors, covers, 0.4);
     expect_kernels_interchangeable(fn, seed);
@@ -206,7 +125,7 @@ TEST(MarginalKernel, MultiTargetDetectionDifferentialWeightedRandomProbs) {
     std::vector<MultiTargetDetectionUtility::Target> targets(9);
     for (auto& target : targets) {
       target.weight = rng.uniform(0.25, 4.0);
-      const auto covers = random_covers(1, sensors, rng, false)[0];
+      const auto covers = random_covers(1, sensors, rng)[0];
       for (const auto sensor : covers)
         target.detectors.emplace_back(sensor, rng.uniform(0.05, 0.95));
     }

@@ -2,8 +2,7 @@
 // pipeline's independent implementations must agree —
 //   * schedulers emit feasible schedules (structural + battery automaton);
 //   * periodic evaluation == tiled horizon evaluation;
-//   * the normalized-energy simulator reproduces the evaluator exactly;
-//   * serialization round-trips the schedule.
+//   * the normalized-energy simulator reproduces the evaluator exactly.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,12 +11,9 @@
 #include "core/evaluator.h"
 #include "core/greedy.h"
 #include "core/passive_greedy.h"
-#include "core/serialize.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
-
-#include <sstream>
 
 namespace cool::core {
 namespace {
@@ -82,16 +78,6 @@ TEST_P(PipelineSweep, SimulatorReproducesEvaluator) {
   const auto eval = evaluate(*problem_, *schedule_);
   EXPECT_EQ(report.energy_violations, 0u);
   EXPECT_NEAR(report.average_utility_per_slot, eval.per_slot_average, 1e-9);
-}
-
-TEST_P(PipelineSweep, SerializationRoundTrips) {
-  std::ostringstream out;
-  write_schedule_csv(out, *schedule_);
-  std::istringstream in(out.str());
-  const auto restored = read_schedule_csv(in);
-  for (std::size_t v = 0; v < schedule_->sensor_count(); ++v)
-    for (std::size_t t = 0; t < schedule_->slots_per_period(); ++t)
-      ASSERT_EQ(restored.active(v, t), schedule_->active(v, t));
 }
 
 INSTANTIATE_TEST_SUITE_P(
