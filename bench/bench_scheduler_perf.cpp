@@ -23,7 +23,9 @@
 //                     allocation count of one warmed schedule() call.
 //                     It also times repair_schedule on the greedy schedule
 //                     after two seeded deaths (repair_wall_ms,
-//                     repair_oracle_calls)
+//                     repair_oracle_calls), and the instance build
+//                     (build_wall_ms: make_random_network plus Problem
+//                     construction)
 //   --threads <N>     util/parallel pool size (LP rounding and the
 //                     evaluator fan out on it; the greedy-family scans are
 //                     serial)
@@ -167,7 +169,7 @@ double best_of(std::size_t reps, Run&& run) {
   return best;
 }
 
-// Perf-harness mode: a fixed greedy/lazy-greedy/repair workload with
+// Perf-harness mode: a fixed build/greedy/lazy-greedy/repair workload with
 // deterministic utilities and oracle counts; only the wall-clock metrics vary between
 // runs, which is exactly what the tolerance bands in
 // scripts/check_perf_regress.sh account for.
@@ -176,6 +178,8 @@ int run_json_mode(const std::string& json_path, std::size_t n,
                   const cool::obs::Provenance& provenance) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto problem = make_problem(n, n / 10 + 1, true, seed);
+  const double build_ms =
+      best_of(reps, [&] { return make_problem(n, n / 10 + 1, true, seed); });
 
   // Persistent planner context, exactly like a warm coold session: the slot
   // states and the scratch arena are created by the first schedule() call
@@ -219,6 +223,7 @@ int run_json_mode(const std::string& json_path, std::size_t n,
 
   std::vector<std::pair<std::string, double>> metrics{
       {"wall_ms", 0.0},  // patched below once the run is complete
+      {"build_wall_ms", build_ms},
       {"greedy_wall_ms", greedy_ms},
       {"lazy_wall_ms", lazy_ms},
       {"lazy_speedup", lazy_ms > 0.0 ? greedy_ms / lazy_ms : 0.0},

@@ -26,6 +26,8 @@ struct Target {
 
 class Network {
  public:
+  // Throws std::invalid_argument for a non-finite position or a negative or
+  // NaN radius.
   Network(std::vector<Sensor> sensors, std::vector<Target> targets,
           geom::Rect region);
 
@@ -37,7 +39,8 @@ class Network {
 
   // V(O_i): sensors whose sensing disk contains target i.
   const std::vector<std::size_t>& covering_sensors(std::size_t target) const;
-  // Full relation, indexed by target: the paper's a_ij as adjacency lists.
+  // Full relation, indexed by target: the paper's a_ij as adjacency lists,
+  // each in ascending sensor id.
   const std::vector<std::vector<std::size_t>>& coverage() const noexcept {
     return covers_;
   }
@@ -47,7 +50,7 @@ class Network {
   std::vector<std::size_t> uncovered_targets() const;
 
   // Communication neighbours (symmetric disk graph on comm_radius; an edge
-  // exists when *both* endpoints reach each other).
+  // exists when *both* endpoints reach each other), in ascending sensor id.
   const std::vector<std::size_t>& neighbors(std::size_t sensor) const;
 
   // Sensing disks, aligned with sensors() — input for geometric utilities.
@@ -78,6 +81,7 @@ struct NetworkConfig {
   bool ensure_coverage = true;
 };
 
+// Throws std::invalid_argument for zero sensors or a negative or NaN radius.
 Network make_random_network(const NetworkConfig& config, util::Rng& rng);
 
 }  // namespace cool::net

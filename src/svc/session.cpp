@@ -29,8 +29,19 @@ core::Problem make_problem(const NetworkSpec& spec) {
                                            spec.periods);
 }
 
+namespace {
+
+// The whole of a Session's construction, under the span coold's trace and
+// profile verb name it by.
+core::Problem build_session_problem(const NetworkSpec& spec) {
+  COOL_SPAN("svc.session.build", "svc");
+  return make_problem(spec);
+}
+
+}  // namespace
+
 Session::Session(NetworkSpec spec)
-    : spec_(std::move(spec)), problem_(make_problem(spec_)) {}
+    : spec_(std::move(spec)), problem_(build_session_problem(spec_)) {}
 
 void Session::set_schedule(core::PeriodicSchedule schedule) {
   schedule_ = std::move(schedule);
