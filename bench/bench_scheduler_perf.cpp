@@ -23,7 +23,9 @@
 //                     allocation count of one warmed schedule() call.
 //                     It also times repair_schedule on the greedy schedule
 //                     after two seeded deaths (repair_wall_ms,
-//                     repair_oracle_calls), and the instance build
+//                     repair_oracle_calls, and the report-only
+//                     repair_moves, so the cost per move can be read off
+//                     bench_history/), and the instance build
 //                     (build_wall_ms: make_random_network plus Problem
 //                     construction)
 //   --threads <N>     util/parallel pool size (LP rounding and the
@@ -232,7 +234,8 @@ int run_json_mode(const std::string& json_path, std::size_t n,
       {"greedy_oracle_calls", static_cast<double>(greedy.oracle_calls)},
       {"lazy_oracle_calls", static_cast<double>(lazy.oracle_calls)},
       {"repair_wall_ms", repair_ms},
-      {"repair_oracle_calls", static_cast<double>(repaired.oracle_calls)}};
+      {"repair_oracle_calls", static_cast<double>(repaired.oracle_calls)},
+      {"repair_moves", static_cast<double>(repaired.moves)}};
 
   // Steady-state allocation audit: one more schedule() against the warmed
   // context, with the allocation hooks counting. The counts are exact and

@@ -11,6 +11,9 @@
 #                       identical-code runs, so gating them only flaps.
 #                       Gate them on demand with an explicit
 #                       `coolstat check --metric repair_p95_us=<pct>`;
+#   perf repair_moves   bench_scheduler_perf's moves per repair — report-only,
+#                       read beside repair_wall_ms for the cost of a move
+#                       (bench_failure_resilience's repair_moves stays gated);
 #   everything else     deterministic at fixed seed (utilities, oracle
 #                       calls, deaths, brownouts, delivered fractions,
 #                       collision/retry counts) — tight band, effectively
@@ -112,6 +115,8 @@ if "${coolstat}" check "${results}" "${baseline}" \
   --metric '*wall_ms=400' \
   --metric '*_per_s=400' \
   --metric '*_us=-1' \
+  --metric 'bench_scheduler_perf.repair_moves=-1' \
+  --metric 'bench_scheduler_perf_n800.repair_moves=-1' \
   --metric '*lazy_speedup=400' \
   --metric '*steady_alloc_calls=0' \
   --metric '*control_energy_j=10' \

@@ -106,8 +106,6 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
     if (count > 1) home[v] = kNoSlot;  // multi-slot: fixed in place
   }
 
-  result.utility_before = surviving_period_utility(result.schedule, utility, dead);
-
   const std::size_t max_moves =
       config.max_moves > 0 ? config.max_moves : 4 * n;
   // Exact caches (DESIGN.md section 16): loss[v] is the cost of vacating
@@ -115,13 +113,31 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
   // t != home[v] in every slot a move may target). A move from slot a to
   // slot b changes only those two slot sets, and in them only the numbers
   // of the mover's dependents, so only those are recomputed — by the same
-  // oracle on add sequences that agree on every dependent, hence bit for
-  // bit the values a full recompute would give.
+  // oracle on states that agree with a rebuild from scratch on every
+  // product the number reads, hence bit for bit the values a full
+  // recompute would give.
   std::vector<std::unique_ptr<sub::EvalState>> states(T);
   for (std::size_t t = 0; t < T; ++t) {
     states[t] = utility.make_state();
     for (const auto u : slot_sets[t]) states[t]->add(u);
   }
+  // Exact removal lets the live slot states answer everything: a loss is
+  // remove, marginal, add; a move is one remove and one add; a period's
+  // utility is the slots' value() sum. Otherwise a loss is a marginal on
+  // the home slot rebuilt without v, and the vacated slot is rebuilt in
+  // slot order, as a from-scratch rebuild would add it.
+  const bool removable =
+      std::all_of(states.begin(), states.end(),
+                  [](const auto& state) { return state->can_remove(); });
+  const auto period_utility = [&] {
+    if (!removable)
+      return surviving_period_utility(result.schedule, utility, dead);
+    double total = 0.0;
+    for (const auto& state : states) total += state->value();
+    return total;
+  };
+  result.utility_before = period_utility();
+
   const auto open = [&](std::size_t t) {
     return !config.restrict_to_affected || affected[t];
   };
@@ -141,59 +157,32 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
     result.oracle_calls += count;
     for (std::size_t k = 0; k < count; ++k) gain[batch[k] * T + t] = fresh[k];
   };
-
-  // loss[v] = U(A) − U(A \ {v}) for every v in `who`, all homed in slot A:
-  // v's marginal on the rest of A. Deleting a non-dependent of v from an
-  // add sequence leaves v's marginal bit-identical, so sensors that are not
-  // each other's dependents share one rest state, U(A \ G) for the class G.
-  // A greedy colouring over the (symmetric) dependents relation forms the
-  // classes — one per sensor when the utility does not list dependents —
-  // and each class costs one reset() of a single scratch state plus A's
-  // adds in slot order.
-  util::Arena arena(n * (sizeof(std::uint32_t) + sizeof(std::size_t)) + 64);
-  sub::DependentsScratch dependents(arena, n);
-  const auto rest = utility.make_state();
-  constexpr std::size_t kUnclassed = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> klass(n, kUnclassed);
-  std::vector<std::size_t> seen(n, 0);  // per class: last sensor that saw it
-  std::size_t sighting = 0;
-  const auto refresh_losses = [&](std::size_t t,
-                                  std::span<const std::size_t> who) {
-    std::size_t classes = 0;
-    for (const auto v : who) {
-      std::size_t c = classes;  // everything depends on v: a class of its own
-      if (const auto listed = utility.dependents(v, dependents)) {
-        ++sighting;
-        for (const auto u : *listed)
-          if (klass[u] != kUnclassed) seen[klass[u]] = sighting;
-        for (c = 0; c < classes && seen[c] == sighting;) ++c;
-      }
-      klass[v] = c;
-      classes = std::max(classes, c + 1);
-    }
-    for (std::size_t c = 0; c < classes; ++c) {
+  // loss[v] = U(A) − U(A \ {v}) for v homed in slot A: v's marginal on
+  // the rest of A.
+  const auto rest = removable ? nullptr : utility.make_state();
+  const auto refresh_loss = [&](std::size_t v) {
+    auto& home_state = *states[home[v]];
+    if (removable) {
+      home_state.remove(v);
+      loss[v] = home_state.marginal(v);
+      home_state.add(v);
+    } else {
       rest->reset();
-      for (const auto u : slot_sets[t])
-        if (klass[u] != c) rest->add(u);
-      for (const auto v : who) {
-        if (klass[v] != c) continue;
-        loss[v] = rest->marginal(v);
-        ++result.oracle_calls;
-      }
+      for (const auto u : slot_sets[home[v]])
+        if (u != v) rest->add(u);
+      loss[v] = rest->marginal(v);
     }
-    for (const auto v : who) klass[v] = kUnclassed;
+    ++result.oracle_calls;
   };
 
-  std::vector<std::size_t> homed;
   for (std::size_t t = 0; t < T; ++t) {
-    homed.clear();
     for (const auto v : slot_sets[t])
-      if (movable[v]) homed.push_back(v);
-    refresh_losses(t, homed);
+      if (movable[v]) refresh_loss(v);
     if (open(t)) fill_slot_gains(t);
   }
 
-  std::vector<std::size_t> touched;
+  util::Arena arena(n * (sizeof(std::uint32_t) + sizeof(std::size_t)) + 64);
+  sub::DependentsScratch dependents(arena, n);
   while (result.moves < max_moves) {
     double best_delta = config.min_gain;
     std::size_t best_v = n, best_to = T;
@@ -219,8 +208,12 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
       from_set.erase(std::find(from_set.begin(), from_set.end(), best_v));
       from_opened = !open(from);
       affected[from] = 1;  // the vacated slot may now need patching too
-      states[from]->reset();
-      for (const auto u : from_set) states[from]->add(u);
+      if (removable) {
+        states[from]->remove(best_v);
+      } else {
+        states[from]->reset();
+        for (const auto u : from_set) states[from]->add(u);
+      }
     }
     result.schedule.set_active(best_v, best_to);
     slot_sets[best_to].push_back(best_v);
@@ -231,32 +224,27 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
     // Refresh what reads the two changed slots: the losses of the mover's
     // dependents homed there and their gains into them. A slot that has
     // just opened to moves had no gains cached, so it gets every mover's.
-    // (Copied out: refresh_losses reuses the dependents scratch.)
     const auto listed = utility.dependents(best_v, dependents);
-    if (listed)
-      touched.assign(listed->begin(), listed->end());
-    else
-      touched = movers;
+    const std::span<const std::size_t> touched =
+        listed ? *listed : std::span<const std::size_t>(movers);
     for (const std::size_t t : {from, best_to}) {
       if (t == kNoSlot) continue;
       const bool every_gain =
           open(t) && (!listed || (t == from && from_opened));
-      homed.clear();
       for (const auto u : touched) {
         if (!movable[u]) continue;
         if (home[u] == t) {
-          homed.push_back(u);
+          refresh_loss(u);
         } else if (open(t) && !every_gain) {
           gain[u * T + t] = states[t]->marginal(u);
           ++result.oracle_calls;
         }
       }
       if (every_gain) fill_slot_gains(t);
-      refresh_losses(t, homed);
     }
   }
 
-  result.utility_after = surviving_period_utility(result.schedule, utility, dead);
+  result.utility_after = period_utility();
   // Delta size (moves == changed assignments == dissemination cost) and
   // oracle effort per repair, published once per call.
   COOL_METRIC_ADD("repair.calls", 1);

@@ -10,6 +10,15 @@
 // damage, and the result provably never loses utility relative to the
 // un-repaired schedule. The repaired-vs-recompute utility gap is what
 // bench_failure_resilience and the resilient runtime report.
+//
+// The search runs on one live oracle state per slot. When those states
+// support exact removal (sub::EvalState::can_remove(): the counted
+// detection state of a single-p MultiTargetDetectionUtility, which every
+// shipped caller builds), a sensor's loss is read by removing and re-adding
+// it, and a move is one remove plus one add. Other utilities rebuild a
+// state without the sensor for each loss and rebuild the vacated slot on
+// each move. Both paths give the same moves and utilities bit for bit
+// (DESIGN.md section 16).
 #pragma once
 
 #include <cstddef>

@@ -109,7 +109,7 @@ Network::Network(std::vector<Sensor> sensors, std::vector<Target> targets,
   std::vector<geom::Vec2> sensor_at, target_at;
   sensor_at.reserve(sensors_.size());
   target_at.reserve(targets_.size());
-  double max_sensing = 0.0, max_comm = 0.0;
+  double max_sensing = 0.0;
   for (std::size_t i = 0; i < sensors_.size(); ++i) {
     if (!finite(sensors_[i].position))
       throw std::invalid_argument("Network: non-finite sensor position");
@@ -118,7 +118,6 @@ Network::Network(std::vector<Sensor> sensors, std::vector<Target> targets,
     sensors_[i].id = i;
     sensor_at.push_back(sensors_[i].position);
     max_sensing = std::max(max_sensing, sensors_[i].sensing_radius);
-    max_comm = std::max(max_comm, sensors_[i].comm_radius);
   }
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (!finite(targets_[i].position))
@@ -127,8 +126,8 @@ Network::Network(std::vector<Sensor> sensors, std::vector<Target> targets,
     target_at.push_back(targets_[i].position);
   }
 
-  // Both relations are filled sensor by sensor in ascending id, so every
-  // list comes out ascending without a sort.
+  // Filled sensor by sensor in ascending id, so every list comes out
+  // ascending without a sort.
   covers_.resize(targets_.size());
   const CellGrid near_targets(target_at, sensor_at, max_sensing);
   for (std::size_t s = 0; s < sensors_.size(); ++s) {
@@ -136,19 +135,6 @@ Network::Network(std::vector<Sensor> sensors, std::vector<Target> targets,
     near_targets.for_each_near(sensor_at[s], [&](std::size_t t) {
       if (sensors_[s].position.distance2_to(targets_[t].position) <= r * r)
         covers_[t].push_back(s);
-    });
-  }
-
-  // Each edge is tested from both ends; the predicate is symmetric bit for
-  // bit (a - b is exactly -(b - a)), so both ends agree.
-  neighbors_.resize(sensors_.size());
-  const CellGrid near_sensors(sensor_at, {}, max_comm);
-  for (std::size_t a = 0; a < sensors_.size(); ++a) {
-    near_sensors.for_each_near(sensor_at[a], [&](std::size_t b) {
-      const double reach = std::min(sensors_[a].comm_radius, sensors_[b].comm_radius);
-      if (b != a &&
-          sensors_[a].position.distance2_to(sensors_[b].position) <= reach * reach)
-        neighbors_[b].push_back(a);
     });
   }
 }
@@ -171,8 +157,31 @@ std::vector<std::size_t> Network::uncovered_targets() const {
 }
 
 const std::vector<std::size_t>& Network::neighbors(std::size_t sensor) const {
-  if (sensor >= neighbors_.size()) throw std::out_of_range("Network::neighbors");
-  return neighbors_[sensor];
+  if (sensor >= sensors_.size()) throw std::out_of_range("Network::neighbors");
+  std::call_once(comm_->built, [this] {
+    std::vector<geom::Vec2> sensor_at;
+    sensor_at.reserve(sensors_.size());
+    double max_comm = 0.0;
+    for (const auto& s : sensors_) {
+      sensor_at.push_back(s.position);
+      max_comm = std::max(max_comm, s.comm_radius);
+    }
+    // Filled by an outer loop over ascending a, so every list comes out
+    // ascending. Each edge is tested from both ends; the predicate is
+    // symmetric bit for bit (a - b is exactly -(b - a)), so both ends agree.
+    auto& lists = comm_->neighbors;
+    lists.resize(sensors_.size());
+    const CellGrid near_sensors(sensor_at, {}, max_comm);
+    for (std::size_t a = 0; a < sensors_.size(); ++a) {
+      near_sensors.for_each_near(sensor_at[a], [&](std::size_t b) {
+        const double reach = std::min(sensors_[a].comm_radius, sensors_[b].comm_radius);
+        if (b != a &&
+            sensors_[a].position.distance2_to(sensors_[b].position) <= reach * reach)
+          lists[b].push_back(a);
+      });
+    }
+  });
+  return comm_->neighbors[sensor];
 }
 
 std::vector<geom::Disk> Network::sensing_disks() const {

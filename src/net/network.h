@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "geometry/disk.h"
@@ -51,6 +53,9 @@ class Network {
 
   // Communication neighbours (symmetric disk graph on comm_radius; an edge
   // exists when *both* endpoints reach each other), in ascending sensor id.
+  // Only routing, the link model and lossy collection read the graph, so
+  // the first call builds every list (one grid pass; thread-safe) and
+  // copies of this network share them. Planning never pays for it.
   const std::vector<std::size_t>& neighbors(std::size_t sensor) const;
 
   // Sensing disks, aligned with sensors() — input for geometric utilities.
@@ -60,8 +65,13 @@ class Network {
   std::vector<Sensor> sensors_;
   std::vector<Target> targets_;
   geom::Rect region_;
-  std::vector<std::vector<std::size_t>> covers_;     // by target
-  std::vector<std::vector<std::size_t>> neighbors_;  // by sensor
+  struct CommGraph {
+    std::once_flag built;
+    std::vector<std::vector<std::size_t>> neighbors;  // by sensor
+  };
+
+  std::vector<std::vector<std::size_t>> covers_;  // by target
+  std::shared_ptr<CommGraph> comm_ = std::make_shared<CommGraph>();
 };
 
 // Random-instance factory used across the evaluation.

@@ -1,5 +1,6 @@
 #include "submodular/detection.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -125,19 +126,31 @@ class MultiState final : public EvalState {
 // (one double per target) instead of the reference's two (a 32-byte-stride
 // weight inside Target plus the miss array) behind a vector-of-vectors
 // indirection.
+//
+// Counted mode (DESIGN.md section 16), when the utility hands over a miss
+// table: every pair has the same factor 1 − p, so miss_t after k adds is
+// the k-fold product table[k] in any add order. The state then keeps a
+// count per target instead of miss_t, and remove() is the exact inverse of
+// add(): both set weighted_miss_[t] = weight_t * table[count_t].
 class FastMultiState final : public EvalState {
  public:
   FastMultiState(const std::vector<std::size_t>* offsets,
                  const std::vector<std::uint32_t>* targets,
                  const std::vector<double>* probs,
-                 const std::vector<double>* weights)
+                 const std::vector<double>* weights,
+                 const std::vector<double>* miss_table)
       : offsets_(offsets),
         targets_(targets),
         probs_(probs),
         weights_(weights),
-        miss_(weights->size(), 1.0),
+        miss_table_(miss_table),
         weighted_miss_(*weights),  // weight * 1.0 == weight bit-for-bit
-        in_set_(offsets->size() - 1, 0) {}
+        in_set_(offsets->size() - 1, 0) {
+    if (miss_table_)
+      count_.assign(weights->size(), 0);
+    else
+      miss_.assign(weights->size(), 1.0);
+  }
 
   double marginal(std::size_t e) const override {
     check(e);
@@ -181,6 +194,13 @@ class FastMultiState final : public EvalState {
     if (in_set_[e]) return;
     in_set_[e] = 1;
     const std::size_t end = (*offsets_)[e + 1];
+    if (miss_table_) {
+      for (std::size_t i = (*offsets_)[e]; i < end; ++i) {
+        const std::uint32_t t = (*targets_)[i];
+        weighted_miss_[t] = (*weights_)[t] * (*miss_table_)[++count_[t]];
+      }
+      return;
+    }
     for (std::size_t i = (*offsets_)[e]; i < end; ++i) {
       const std::uint32_t t = (*targets_)[i];
       miss_[t] *= 1.0 - (*probs_)[i];
@@ -188,14 +208,36 @@ class FastMultiState final : public EvalState {
     }
   }
 
+  bool can_remove() const noexcept override { return miss_table_ != nullptr; }
+
+  void remove(std::size_t e) override {
+    if (!miss_table_) EvalState::remove(e);
+    check(e);
+    if (!in_set_[e]) return;
+    in_set_[e] = 0;
+    const std::size_t end = (*offsets_)[e + 1];
+    for (std::size_t i = (*offsets_)[e]; i < end; ++i) {
+      const std::uint32_t t = (*targets_)[i];
+      weighted_miss_[t] = (*weights_)[t] * (*miss_table_)[--count_[t]];
+    }
+  }
+
   void reset() override {
     in_set_.assign(in_set_.size(), 0);
-    miss_.assign(miss_.size(), 1.0);
+    if (miss_table_)
+      count_.assign(count_.size(), 0);
+    else
+      miss_.assign(miss_.size(), 1.0);
     weighted_miss_ = *weights_;
   }
 
   double value() const override {
     double total = 0.0;
+    if (miss_table_) {
+      for (std::size_t i = 0; i < count_.size(); ++i)
+        total += (*weights_)[i] * (1.0 - (*miss_table_)[count_[i]]);
+      return total;
+    }
     for (std::size_t i = 0; i < miss_.size(); ++i)
       total += (*weights_)[i] * (1.0 - miss_[i]);
     return total;
@@ -230,7 +272,9 @@ class FastMultiState final : public EvalState {
   const std::vector<std::uint32_t>* targets_;
   const std::vector<double>* probs_;
   const std::vector<double>* weights_;
-  std::vector<double> miss_;           // per-target Π (1 − p)
+  const std::vector<double>* miss_table_;  // counted mode iff non-null
+  std::vector<double> miss_;           // per-target Π (1 − p), uncounted
+  std::vector<std::uint32_t> count_;   // per-target add count, counted
   std::vector<double> weighted_miss_;  // weight_t * miss_t, exactly
   std::vector<std::uint8_t> in_set_;
 };
@@ -417,6 +461,20 @@ MultiTargetDetectionUtility::MultiTargetDetectionUtility(std::size_t sensor_coun
     }
     csr_offsets_.push_back(csr_targets_.size());
   }
+  // Counted states need every miss product to be a power of one factor.
+  // The products multiply by 1 − p, so that factor is what must agree; a
+  // NaN never compares equal and keeps the uncounted path.
+  const double factor = csr_probs_.empty() ? 1.0 : 1.0 - csr_probs_.front();
+  if (std::all_of(csr_probs_.begin(), csr_probs_.end(),
+                  [factor](double p) { return 1.0 - p == factor; })) {
+    std::size_t max_fan_in = 0;
+    for (const auto& target : targets_)
+      max_fan_in = std::max(max_fan_in, target.detectors.size());
+    miss_table_.resize(max_fan_in + 1);
+    miss_table_[0] = 1.0;
+    for (std::size_t k = 1; k <= max_fan_in; ++k)
+      miss_table_[k] = miss_table_[k - 1] * factor;
+  }
 }
 
 MultiTargetDetectionUtility MultiTargetDetectionUtility::uniform(
@@ -438,8 +496,9 @@ std::unique_ptr<EvalState> MultiTargetDetectionUtility::make_state() const {
   // the reference's, which only an explicit kScalar selects.
   if (marginal_kernel() == MarginalKernel::kScalar)
     return std::make_unique<MultiState>(&targets_, &by_sensor_);
-  return std::make_unique<FastMultiState>(&csr_offsets_, &csr_targets_,
-                                          &csr_probs_, &target_weights_);
+  return std::make_unique<FastMultiState>(
+      &csr_offsets_, &csr_targets_, &csr_probs_, &target_weights_,
+      miss_table_.empty() ? nullptr : &miss_table_);
 }
 
 std::optional<std::span<const std::size_t>>

@@ -17,6 +17,10 @@ void EvalState::marginal_batch(std::span<const std::size_t> elements,
     out_gains[i] = marginal(elements[i]);
 }
 
+void EvalState::remove(std::size_t) {
+  throw std::logic_error("EvalState::remove: state cannot remove");
+}
+
 DependentsScratch::DependentsScratch(util::Arena& arena, std::size_t elements)
     : stamp_(arena.allocate_array<std::uint32_t>(elements)),
       // One slot past the longest list: insert() writes it for repeats.

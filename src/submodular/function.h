@@ -58,6 +58,17 @@ class EvalState {
   // reset one state per slot instead of churning the heap.
   virtual void reset() = 0;
 
+  // Optional capability: exact removal (DESIGN.md section 16). A state
+  // that claims it answers every later marginal(), marginal_batch() and
+  // value() after remove(e) bit for bit as a state built by adding S \ {e}
+  // in any order would. So e's marginal against S \ {e} is remove(e),
+  // marginal(e), add(e), and the add restores the state exactly.
+  virtual bool can_remove() const noexcept { return false; }
+
+  // S ← S \ {element}; removing a non-member is a no-op. The default
+  // throws std::logic_error: only states that claim can_remove() have it.
+  virtual void remove(std::size_t element);
+
   // U(S).
   virtual double value() const = 0;
 

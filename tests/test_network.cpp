@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "geometry/deployment.h"
 #include "obs/prof.h"
@@ -57,6 +59,25 @@ TEST(Network, NeighborsSymmetricDiskGraph) {
   EXPECT_EQ(net.neighbors(0), (std::vector<std::size_t>{1}));
   EXPECT_EQ(net.neighbors(1), (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(net.neighbors(2), (std::vector<std::size_t>{1}));
+}
+
+TEST(Network, NeighborListsBuiltOnFirstUseAreShared) {
+  // The comm graph is built by the first neighbors() call. Copies made
+  // before it share the one build, and racing first calls agree.
+  const auto net = tiny_network();
+  const Network copy = net;
+  std::vector<const std::vector<std::size_t>*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < seen.size(); ++k)
+    threads.emplace_back([&, k] {
+      seen[k] = &(k % 2 == 0 ? net : copy).neighbors(1);
+    });
+  for (auto& thread : threads) thread.join();
+  for (const auto* list : seen) {
+    EXPECT_EQ(list, seen[0]);
+    EXPECT_EQ(*list, (std::vector<std::size_t>{0, 2}));
+  }
+  EXPECT_THROW(copy.neighbors(3), std::out_of_range);
 }
 
 TEST(Network, SensingDisksAlign) {

@@ -124,8 +124,11 @@ RepairResult reference_repair(const PeriodicSchedule& schedule,
 
 // Non-uniform probabilities and weights, fan-in 1-7 per target, repeats
 // allowed: every target's miss product depends on its detectors' order.
+// A p >= 0 is used for every pair instead, which makes the slot states
+// counted and sends repair down the exact-removal path.
 std::shared_ptr<sub::MultiTargetDetectionUtility> random_utility(
-    std::size_t sensors, std::size_t targets, std::uint64_t seed) {
+    std::size_t sensors, std::size_t targets, std::uint64_t seed,
+    double p = -1.0) {
   util::Rng rng(seed);
   std::vector<sub::MultiTargetDetectionUtility::Target> spec(targets);
   for (auto& target : spec) {
@@ -134,7 +137,8 @@ std::shared_ptr<sub::MultiTargetDetectionUtility> random_utility(
     for (std::size_t k = 0; k < fan; ++k) {
       const auto sensor = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(sensors) - 1));
-      target.detectors.emplace_back(sensor, rng.uniform(0.1, 0.9));
+      target.detectors.emplace_back(sensor,
+                                    p < 0.0 ? rng.uniform(0.1, 0.9) : p);
     }
   }
   return std::make_shared<sub::MultiTargetDetectionUtility>(sensors,
@@ -175,37 +179,42 @@ std::size_t expect_same_repair(const PeriodicSchedule& schedule,
 
 TEST(RepairCache, MatchesFullRecomputeRepairBitForBit) {
   std::size_t moves = 0;
-  for (const std::size_t n : {12u, 40u, 120u})
-    for (const std::size_t T : {3u, 4u, 6u})
-      for (const std::uint64_t seed : {1u, 2u, 3u}) {
-        const auto utility = random_utility(n, n / 2 + 3, seed * 31 + n + T);
-        const Problem problem(utility, T, 1, true);
-        auto schedule = GreedyScheduler().schedule(problem).schedule;
-        util::Rng rng(seed);
-        // Some sensors unplaced (movable from nowhere), some multi-slot
-        // (fixed in place, but their adds shape both slots' states).
-        for (std::size_t k = 0; k < n / 10 + 1; ++k) {
-          const auto v = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-          for (std::size_t t = 0; t < T; ++t) schedule.set_active(v, t, false);
+  for (const double p : {-1.0, 0.4})
+    for (const std::size_t n : {12u, 40u, 120u})
+      for (const std::size_t T : {3u, 4u, 6u})
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+          const auto utility = random_utility(n, n / 2 + 3, seed * 31 + n + T, p);
+          const Problem problem(utility, T, 1, true);
+          auto schedule = GreedyScheduler().schedule(problem).schedule;
+          util::Rng rng(seed);
+          // Some sensors unplaced (movable from nowhere), some multi-slot
+          // (fixed in place, but their adds shape both slots' states).
+          for (std::size_t k = 0; k < n / 10 + 1; ++k) {
+            const auto v = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+            for (std::size_t t = 0; t < T; ++t) schedule.set_active(v, t, false);
+          }
+          for (std::size_t k = 0; k < n / 10 + 1; ++k) {
+            const auto v = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+            schedule.set_active(v, static_cast<std::size_t>(rng.uniform_int(
+                                       0, static_cast<std::int64_t>(T) - 1)));
+          }
+          const auto dead = random_dead(n, 1 + n / 20, rng);
+          moves += expect_same_repair(schedule, *utility, dead,
+                             std::string(p < 0.0 ? "random" : "uniform") +
+                                 " n=" + std::to_string(n) +
+                                 " T=" + std::to_string(T) +
+                                 " seed=" + std::to_string(seed));
         }
-        for (std::size_t k = 0; k < n / 10 + 1; ++k) {
-          const auto v = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-          schedule.set_active(v, static_cast<std::size_t>(rng.uniform_int(
-                                     0, static_cast<std::int64_t>(T) - 1)));
-        }
-        const auto dead = random_dead(n, 1 + n / 20, rng);
-        moves += expect_same_repair(schedule, *utility, dead,
-                           "random n=" + std::to_string(n) +
-                               " T=" + std::to_string(T) +
-                               " seed=" + std::to_string(seed));
-      }
   EXPECT_GT(moves, 100u);
 }
 
 TEST(RepairCache, MatchesOnCooldSpecs) {
-  std::size_t moves = 0;
+  // Three session specs and one at large_plan's largest size. The kAuto
+  // pass repairs on counted states (exact removal); the kScalar pass runs
+  // the same instances through states that cannot remove.
+  std::vector<svc::NetworkSpec> specs;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     svc::NetworkSpec spec;
     spec.sensors = 300;
@@ -213,14 +222,33 @@ TEST(RepairCache, MatchesOnCooldSpecs) {
     spec.region_side = 274.0;
     spec.slots_per_period = 3 + seed;
     spec.seed = seed;
-    const Problem problem = svc::make_problem(spec);
-    const auto schedule = GreedyScheduler().schedule(problem).schedule;
-    util::Rng rng(seed + 100);
-    moves += expect_same_repair(schedule, problem.slot_utility(),
-                                random_dead(spec.sensors, 2, rng),
-                                "session seed=" + std::to_string(seed));
+    specs.push_back(spec);
   }
-  EXPECT_GT(moves, 0u);
+  svc::NetworkSpec large;
+  large.sensors = 2048;
+  large.targets = 4096;
+  large.region_side = 716.0;
+  large.slots_per_period = 4;
+  large.seed = 4;
+  specs.push_back(large);
+  const sub::MarginalKernel saved = sub::marginal_kernel();
+  for (const auto kernel :
+       {sub::MarginalKernel::kAuto, sub::MarginalKernel::kScalar}) {
+    sub::set_marginal_kernel(kernel);
+    std::size_t moves = 0;
+    for (const svc::NetworkSpec& spec : specs) {
+      const std::uint64_t seed = spec.seed;
+      const Problem problem = svc::make_problem(spec);
+      const auto schedule = GreedyScheduler().schedule(problem).schedule;
+      util::Rng rng(seed + 100);
+      moves += expect_same_repair(
+          schedule, problem.slot_utility(), random_dead(spec.sensors, 2, rng),
+          "session seed=" + std::to_string(seed) +
+              (kernel == sub::MarginalKernel::kAuto ? " fast" : " scalar"));
+    }
+    EXPECT_GT(moves, 0u);
+  }
+  sub::set_marginal_kernel(saved);
 }
 
 TEST(RepairCache, MatchesWhenEveryElementIsADependent) {
